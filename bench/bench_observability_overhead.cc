@@ -33,7 +33,7 @@ double TimedRun(const sim::SimConfig& config, bool observed) {
   MetricsRegistry registry;
   if (observed) {
     const double cycle =
-        static_cast<double>(simulator.system().schedule().cycle_length());
+        static_cast<double>(simulator.world().MaxCycleLength());
     registry.AddHistogram("access_latency", 0.0, 2.0 * cycle, 64);
     registry.AddHistogram("tuning_time", 0.0, cycle, 64);
     simulator.SetObserver(&sink, &registry);

@@ -3,8 +3,8 @@
 //
 // Runs the Table 3 Los Angeles City workload (2750 POIs, 20 x 20 mi,
 // k = 5, 3% windows, 30% of queries carrying peer data) through a
-// DynamicQueryEngine while a WorldVersioner applies insert/delete/move
-// batches at a swept interval:
+// one-shard dynamic::ShardedWorld — the paper's single broadcast channel —
+// while it applies insert/delete/move batches at a swept interval:
 //
 //   off      : zero updates — the static baseline.
 //   sparse   : one batch per 100 queries.
@@ -54,10 +54,9 @@
 #include "broadcast/system.h"
 #include "common/rng.h"
 #include "core/query_engine.h"
-#include "core/query_workspace.h"
-#include "dynamic/dynamic_engine.h"
+#include "core/sharded_query_engine.h"
 #include "dynamic/rebuild_policy.h"
-#include "dynamic/world_versioner.h"
+#include "dynamic/sharded_world.h"
 #include "geom/rect.h"
 #include "sim/config.h"
 #include "sim/update_workload.h"
@@ -160,7 +159,7 @@ double Percentile(std::vector<double> v, double p) {
   return v[std::min(rank, v.size() - 1)];
 }
 
-// One run over the workload on a fresh versioner, chunked at the update
+// One run over the workload on a fresh world, chunked at the update
 // interval: apply the batch (timed — publications are part of the churn
 // cost, and each Apply's wall time is recorded as one publish-latency
 // sample), warm the fresh epoch's memo with an uncounted pass over the
@@ -170,17 +169,16 @@ ChurnRow RunChurn(const char* name, int interval, bool force_full,
                   const ChurnWorkload& workload) {
   const std::vector<core::QueryRequest>& requests = workload.requests;
   const geom::Rect world{0.0, 0.0, kWorldSide, kWorldSide};
-  dynamic::WorldVersioner versioner(pois, world, broadcast::BroadcastParams{},
-                                    core::EngineOptions{});
+  dynamic::ShardedWorld versions(pois, world, broadcast::BroadcastParams{},
+                                 core::EngineOptions{}, /*num_shards=*/1);
   dynamic::RebuildPolicy policy;
   policy.force_full = force_full;
-  versioner.set_rebuild_policy(policy);
-  dynamic::DynamicQueryEngine engine(versioner);
+  versions.set_rebuild_policy(policy);
   const int64_t base_insert_id = sim::FirstInsertId(pois);
   sim::UpdateWorkloadConfig update_config;
   update_config.interval_events = interval;
 
-  core::QueryWorkspace workspace;
+  core::ShardedQueryWorkspace workspace;
   // Per-request outcome storage, warmed by the warm sub-pass so each
   // measured execution recycles the inner buffers of its own twin.
   std::vector<core::QueryOutcome> outcomes(requests.size());
@@ -207,9 +205,9 @@ ChurnRow RunChurn(const char* name, int interval, bool force_full,
         ++batch_index;
         const std::vector<dynamic::PoiUpdate> batch = sim::GenerateUpdateBatch(
             update_config, /*seed=*/29, batch_index,
-            versioner.Current()->pois, world, base_insert_id);
+            versions.Current()->pois, world, base_insert_id);
         const auto start = std::chrono::steady_clock::now();
-        versioner.Apply(batch);
+        versions.Apply(batch);
         const double s = SecondsSince(start);
         row.publish_ms.push_back(s * 1e3);
         row.publish_seconds += s;
@@ -217,13 +215,13 @@ ChurnRow RunChurn(const char* name, int interval, bool force_full,
       }
     }
     for (size_t i = begin; i < end; ++i) {
-      engine.Execute(requests[i], &warm_peers[i], workspace, &outcomes[i]);
+      versions.Execute(requests[i], &warm_peers[i], workspace, &outcomes[i]);
     }
     const auto start = std::chrono::steady_clock::now();
     for (size_t i = begin; i < end; ++i) {
       const uint64_t before = AllocCount();
-      engine.Execute(requests[i], &measured_peers[i], workspace, &outcomes[i],
-                     &stats);
+      versions.Execute(requests[i], &measured_peers[i], workspace,
+                       &outcomes[i], &stats);
       row.steady_allocs += static_cast<int64_t>(AllocCount() - before);
       ++row.steady_queries;
     }
@@ -234,8 +232,8 @@ ChurnRow RunChurn(const char* name, int interval, bool force_full,
   row.qps = static_cast<double>(n) / seconds;
   row.revalidated = stats.revalidated;
   row.rejected = stats.rejected;
-  row.epochs = versioner.latest_epoch();
-  row.publication = versioner.publication_stats();
+  row.epochs = versions.latest_epoch();
+  row.publication = versions.publication_stats();
   return row;
 }
 

@@ -32,8 +32,7 @@ struct PublicationStats {
   int64_t epochs_published = 0;
   /// Epochs published through the incremental patch path.
   int64_t epochs_patched = 0;
-  /// Shard systems rebuilt or patched (== epochs for the single-shard
-  /// versioner; per dirty shard for ShardedWorld).
+  /// Shard systems rebuilt or patched, one per dirty shard per epoch.
   int64_t shards_rebuilt = 0;
   /// Data buckets rebucketized by patches / copied verbatim from the base.
   int64_t buckets_patched = 0;

@@ -40,6 +40,8 @@ uint64_t ShardedWorld::latest_epoch() const {
 
 int ShardedWorld::ShardOf(const core::ShardedQueryEngine& engine,
                           geom::Point p) const {
+  // One shard owns the whole curve: skip the curve encode.
+  if (num_shards_ == 1) return 0;
   return engine.map().ShardOfIndex(engine.routing_grid().IndexOf(p));
 }
 
@@ -48,8 +50,8 @@ uint64_t ShardedWorld::Apply(std::vector<PoiUpdate> updates) {
   const std::shared_ptr<const ShardedEpoch> base = Current();
   const core::ShardedQueryEngine& base_engine = *base->engine;
 
-  // The global mirror advances exactly like the unsharded world: same
-  // merge, same invalid-update filtering, same logged batch.
+  // The global mirror advances by one order-preserving merge; the filtered
+  // batch is what the log records.
   std::vector<spatial::Poi> pois = base->pois;
   ApplyUpdates(&updates, &pois);
   const uint64_t id = base->id + 1;
@@ -86,13 +88,20 @@ uint64_t ShardedWorld::Apply(std::vector<PoiUpdate> updates) {
   // Refilter the mirror for the dirty shards only (one linear pass — the
   // same order-preserving filter the from-scratch constructor applies, so
   // a rebuilt shard's system is byte-identical to a cold build at this
-  // epoch); every clean shard shares its system with the base epoch.
+  // epoch); every clean shard shares its system with the base epoch. One
+  // shard's filtered list IS the mirror, so that shard reads it directly.
   std::vector<std::vector<spatial::Poi>> shard_pois(
       static_cast<size_t>(num_shards_));
-  for (const spatial::Poi& p : pois) {
-    const size_t s = static_cast<size_t>(ShardOf(base_engine, p.pos));
-    if (dirty[s]) shard_pois[s].push_back(p);
+  if (num_shards_ > 1) {
+    for (const spatial::Poi& p : pois) {
+      const size_t s = static_cast<size_t>(ShardOf(base_engine, p.pos));
+      if (dirty[s]) shard_pois[s].push_back(p);
+    }
   }
+  const auto shard_input =
+      [&](size_t s) -> const std::vector<spatial::Poi>& {
+    return num_shards_ == 1 ? pois : shard_pois[s];
+  };
 
   // Partition the net delta by the fixed shard map, the same way POIs are
   // routed: a removal belongs to the shard that owned the POI's base
@@ -124,14 +133,14 @@ uint64_t ShardedWorld::Apply(std::vector<PoiUpdate> updates) {
       continue;
     }
     rebuilt.push_back(s);
-    if (shard_pois[si].empty()) continue;
+    if (shard_input(si).empty()) continue;
     if (try_patch && base_engine.shard_system(s) != nullptr) {
       broadcast::PatchStats patch_stats;
       // The attempt copies the shard's POIs so a decline can still feed the
       // full build below.
       std::unique_ptr<broadcast::BroadcastSystem> patched =
           broadcast::BroadcastSystem::PatchFrom(
-              *base_engine.shard_system(s), shard_pois[si], shard_deltas[si],
+              *base_engine.shard_system(s), shard_input(si), shard_deltas[si],
               epoch_params, &patch_stats);
       if (patched != nullptr) {
         stats.buckets_patched += patch_stats.buckets_patched;
@@ -141,8 +150,10 @@ uint64_t ShardedWorld::Apply(std::vector<PoiUpdate> updates) {
       }
     }
     if (!policy_.force_full) ++stats.full_rebuild_fallbacks;
-    systems[si] = storage::SystemBuilder(world_, epoch_params)
-                      .BuildSystemFromPois(std::move(shard_pois[si]));
+    systems[si] =
+        storage::SystemBuilder(world_, epoch_params)
+            .BuildSystemFromPois(num_shards_ == 1 ? pois
+                                                  : std::move(shard_pois[si]));
   }
   // The epoch counts as patched when every republished shard came through
   // the incremental path.
@@ -180,6 +191,14 @@ bool ShardedWorld::RegionDirty(const geom::Rect& rect, uint64_t from_exclusive,
   return log_.RegionDirtyBetween(rect, from_exclusive, to_inclusive);
 }
 
+RevalidationStats ShardedWorld::RevalidatePeers(
+    uint64_t pinned_epoch, std::vector<core::PeerData>* peers) const {
+  auto dirty = [this](const geom::Rect& rect, uint64_t lo, uint64_t hi) {
+    return RegionDirty(rect, lo, hi);
+  };
+  return RevalidatePeerDataWith(dirty, pinned_epoch, peers);
+}
+
 int64_t ShardedWorld::updates_applied() const {
   std::lock_guard<std::mutex> lock(state_mutex_);
   return updates_applied_;
@@ -205,11 +224,7 @@ std::shared_ptr<const ShardedEpoch> ShardedWorld::Execute(
   std::shared_ptr<const ShardedEpoch> pinned = Current();
   core::QueryRequest exec = request;
   if (peers != nullptr) {
-    auto log_dirty = [this](const geom::Rect& rect, uint64_t lo, uint64_t hi) {
-      return RegionDirty(rect, lo, hi);
-    };
-    const RevalidationStats pass =
-        RevalidatePeerDataWith(log_dirty, pinned->id, peers);
+    const RevalidationStats pass = RevalidatePeers(pinned->id, peers);
     if (stats != nullptr) {
       stats->revalidated += pass.revalidated;
       stats->rejected += pass.rejected;

@@ -65,7 +65,7 @@ int64_t ApplyUpdates(std::vector<PoiUpdate>* updates,
 broadcast::SystemDelta DeltaFromBatch(const std::vector<PoiUpdate>& updates);
 
 /// Append-only record of applied batches (epochs 1, 2, ... in order).
-/// Not internally synchronized — WorldVersioner guards its instance.
+/// Not internally synchronized — ShardedWorld guards its instance.
 class UpdateLog {
  public:
   /// Appends the batch for the next epoch. Requires batch.epoch ==

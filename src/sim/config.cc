@@ -80,10 +80,8 @@ void SimConfig::Validate() const {
   LBSQ_CHECK(params.knn_k >= 1.0);
   LBSQ_CHECK(shards >= 1);
   // Fault injection models one lossy channel; a multi-channel fault model
-  // would be a different system. Sharded cache-invariant checking under
-  // churn would additionally need history-retained sharded epochs.
+  // would be a different system.
   LBSQ_CHECK(shards == 1 || !fault.enabled());
-  LBSQ_CHECK(shards == 1 || !(updates.enabled() && check_cache_invariant));
   fault.Validate();
   updates.Validate();
 }

@@ -148,14 +148,12 @@ struct SimConfig {
 
   /// Parallel broadcast channels: the POI database is partitioned into this
   /// many contiguous Hilbert ranges, each broadcast on its own channel and
-  /// queried through core::ShardedQueryEngine (1 = the classic single
-  /// channel, byte-identical to the unsharded engines). Answers are
-  /// shard-count-invariant (with approximate kNN acceptance disabled the
-  /// per-run answer digest is bitwise equal at any shard count); cost
-  /// metrics follow the multi-channel conventions (latency = max over
-  /// queried channels, tuning = sum). Incompatible with fault injection
-  /// (single-channel concept) and, for now, with check_cache_invariant
-  /// under updates (sharded epochs are not history-retained).
+  /// queried through core::ShardedQueryEngine (1 = the paper's single
+  /// channel). Answers are shard-count-invariant (with approximate kNN
+  /// acceptance disabled the per-run answer digest is bitwise equal at any
+  /// shard count); cost metrics follow the multi-channel conventions
+  /// (latency = max over queried channels, tuning = sum). Incompatible with
+  /// fault injection (single-channel concept).
   int shards = 1;
 
   /// SBNN: whether approximate answers are accepted and their threshold.

@@ -4,11 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/rng.h"
-#include "dynamic/dynamic_engine.h"
-#include "sim/update_workload.h"
 #include "sim/workload.h"
-#include "spatial/generators.h"
 
 namespace lbsq::sim {
 
@@ -20,33 +16,9 @@ ParallelSimulator::Worker::Worker(const MobilityModel& proto,
 
 ParallelSimulator::ParallelSimulator(const SimConfig& config)
     : config_(config),
-      world_{0.0, 0.0, config.world_side_mi, config.world_side_mi},
+      world_(config),
       tx_range_mi_(config.params.tx_range_m * kMilesPerMeter) {
-  config.Validate();
-
-  Rng poi_rng(DeriveStreamSeed(config.seed, kStreamPois));
-  std::vector<spatial::Poi> pois = spatial::GenerateUniformPois(
-      &poi_rng, world_, config.ScaledPoiCount());
-  base_insert_id_ = FirstInsertId(pois);
-  dynamic::RebuildPolicy rebuild_policy;
-  rebuild_policy.force_full = config.updates.force_full_rebuild;
-  if (config.shards > 1) {
-    sharded_world_ = std::make_unique<dynamic::ShardedWorld>(
-        std::move(pois), world_, config.broadcast,
-        EngineOptionsFromConfig(config), config.shards);
-    sharded_world_->set_rebuild_policy(rebuild_policy);
-    sharded_current_ = sharded_world_->Current();
-  } else {
-    const bool retain_history =
-        config.updates.enabled() && config.check_cache_invariant;
-    versioner_ = std::make_unique<dynamic::WorldVersioner>(
-        std::move(pois), world_, config.broadcast,
-        EngineOptionsFromConfig(config), retain_history);
-    versioner_->set_rebuild_policy(rebuild_policy);
-    current_ = versioner_->Current();
-  }
-
-  mobility_proto_ = MakeMobilityModel(config, world_);
+  mobility_proto_ = MakeMobilityModel(config, world_.bounds());
   const int64_t hosts = mobility_proto_->num_hosts();
   caches_.reserve(static_cast<size_t>(hosts));
   for (int64_t i = 0; i < hosts; ++i) {
@@ -59,7 +31,7 @@ ParallelSimulator::ParallelSimulator(const SimConfig& config)
       std::max(tx_range_mi_, config.world_side_mi / 256.0);
   workers_.reserve(static_cast<size_t>(config.threads));
   for (int w = 0; w < config.threads; ++w) {
-    workers_.emplace_back(*mobility_proto_, world_, cell);
+    workers_.emplace_back(*mobility_proto_, world_.bounds(), cell);
   }
   if (config.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(config.threads);
@@ -72,38 +44,6 @@ void ParallelSimulator::SetObserver(obs::TraceSink* trace_sink,
                                     MetricsRegistry* registry) {
   trace_sink_ = trace_sink;
   registry_ = registry;
-}
-
-void ParallelSimulator::CheckCacheInvariant(int64_t host) const {
-  for (const core::VerifiedRegion& vr :
-       caches_[static_cast<size_t>(host)].entries()) {
-    // Completeness is epoch-relative: validate against the POI database of
-    // the epoch the entry was verified on (== the current epoch when
-    // updates are off; the sharded static world only ever has epoch 0).
-    std::shared_ptr<const dynamic::WorldEpoch> epoch;
-    const std::vector<spatial::Poi>* db = nullptr;
-    if (config_.shards > 1) {
-      db = &sharded_current_->pois;
-    } else {
-      epoch =
-          config_.updates.enabled() ? versioner_->EpochAt(vr.epoch) : current_;
-      LBSQ_CHECK(epoch != nullptr);
-      db = &epoch->pois;
-    }
-    const std::vector<spatial::Poi> truth =
-        spatial::BruteForceWindow(*db, vr.region);
-    // Every server POI inside the region must be cached.
-    for (const spatial::Poi& poi : truth) {
-      const bool present =
-          std::any_of(vr.pois.begin(), vr.pois.end(),
-                      [&poi](const spatial::Poi& p) { return p.id == poi.id; });
-      LBSQ_CHECK(present);
-    }
-    // And nothing outside the region may be stored in this entry.
-    for (const spatial::Poi& poi : vr.pois) {
-      LBSQ_CHECK(vr.region.Contains(poi.pos));
-    }
-  }
 }
 
 ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
@@ -126,24 +66,13 @@ ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
       config_.p2p_hops,
       [this](int64_t id) { return snapshot_[static_cast<size_t>(id)]; },
       &peers);
-  if (config_.updates.enabled()) {
-    // The pinned epoch is immutable while workers run (chunk boundaries
-    // are clamped to update boundaries), so this decision depends only on
-    // the region's epoch tag and the update log — never the thread count.
-    dynamic::RevalidationStats revalidation;
-    if (config_.shards > 1) {
-      auto dirty = [this](const geom::Rect& rect, uint64_t lo, uint64_t hi) {
-        return sharded_world_->RegionDirty(rect, lo, hi);
-      };
-      revalidation = dynamic::RevalidatePeerDataWith(
-          dirty, sharded_current_->id, &peers);
-    } else {
-      revalidation =
-          dynamic::RevalidatePeerData(*versioner_, current_->id, &peers);
-    }
-    result.regions_revalidated = revalidation.revalidated;
-    result.regions_stale_rejected = revalidation.rejected;
-  }
+  // The pinned epoch is immutable while workers run, so this decision
+  // depends only on the region's epoch tag and the update log — never the
+  // thread count.
+  const dynamic::RevalidationStats revalidation =
+      world_.RevalidatePeers(&peers);
+  result.regions_revalidated = revalidation.revalidated;
+  result.regions_stale_rejected = revalidation.rejected;
   result.measured = event.time_min >= config_.warmup_min;
 
   // Record into the event's private slot; the fold serializes in event
@@ -158,80 +87,27 @@ ParallelSimulator::EventResult ParallelSimulator::ExecuteEvent(
 
   const int64_t slot = static_cast<int64_t>(
       event.time_min * config_.slots_per_second * 60.0);
-  const bool sharded = config_.shards > 1;
+  core::PeerCache& cache = caches_[static_cast<size_t>(event.host)];
   if (event.type == QueryType::kKnn) {
     KnnQueryResult knn =
-        sharded ? ExecuteKnnQuery(config_, *sharded_current_->engine,
-                                  sharded_current_->pois, pos, event.k, slot,
-                                  std::move(peers), result.measured, query_id,
-                                  trace, worker->sharded_workspace)
-                : ExecuteKnnQuery(config_, *current_->engine, pos, event.k,
-                                  slot, std::move(peers), result.measured,
-                                  query_id, trace, &worker->workspace);
-    // Clean shards still carry the epoch stamp of their last rebuild; what
-    // this query verified is consistent with the pinned *global* epoch,
-    // which is what peer revalidation consults.
-    if (sharded) knn.outcome.cacheable.epoch = sharded_current_->id;
-    caches_[static_cast<size_t>(event.host)].Insert(
-        std::move(knn.outcome.cacheable), pos, pos,
-        worker->mobility->Heading(event.host));
-    if (config_.check_cache_invariant) CheckCacheInvariant(event.host);
+        ExecuteKnnQuery(config_, world_.current(), pos, event.k, slot,
+                        std::move(peers), result.measured, query_id, trace,
+                        worker->workspace);
+    cache.Insert(std::move(knn.outcome.cacheable), pos, pos,
+                 worker->mobility->Heading(event.host));
+    if (config_.check_cache_invariant) world_.CheckCacheInvariant(cache);
     result.knn = std::move(knn);
   } else {
     WindowQueryResult window =
-        sharded ? ExecuteWindowQuery(config_, *sharded_current_->engine,
-                                     sharded_current_->pois, event.window,
-                                     slot, std::move(peers), result.measured,
-                                     query_id, trace,
-                                     worker->sharded_workspace)
-                : ExecuteWindowQuery(config_, *current_->engine, event.window,
-                                     slot, std::move(peers), result.measured,
-                                     query_id, trace, &worker->workspace);
-    if (sharded) window.outcome.cacheable.epoch = sharded_current_->id;
-    caches_[static_cast<size_t>(event.host)].Insert(
-        std::move(window.outcome.cacheable), event.window.center(), pos,
-        worker->mobility->Heading(event.host));
-    if (config_.check_cache_invariant) CheckCacheInvariant(event.host);
+        ExecuteWindowQuery(config_, world_.current(), event.window, slot,
+                           std::move(peers), result.measured, query_id,
+                           trace, worker->workspace);
+    cache.Insert(std::move(window.outcome.cacheable), event.window.center(),
+                 pos, worker->mobility->Heading(event.host));
+    if (config_.check_cache_invariant) world_.CheckCacheInvariant(cache);
     result.window = std::move(window);
   }
   return result;
-}
-
-void ParallelSimulator::MaybeApplyUpdates(size_t event_index,
-                                          double event_time_min,
-                                          SimMetrics* metrics) {
-  if (!config_.updates.enabled()) return;
-  const size_t interval =
-      static_cast<size_t>(config_.updates.interval_events);
-  if (event_index == 0 || event_index % interval != 0) return;
-  // Identical to the sequential engine: batch k = index / interval produces
-  // epoch k from the epoch-(k-1) snapshot, purely from (config, seed, k).
-  const uint64_t k = event_index / interval;
-  if (config_.shards > 1) {
-    std::vector<dynamic::PoiUpdate> batch =
-        GenerateUpdateBatch(config_.updates, config_.seed, k,
-                            sharded_current_->pois, world_, base_insert_id_);
-    const int64_t before = sharded_world_->updates_applied();
-    const uint64_t published = sharded_world_->Apply(std::move(batch));
-    LBSQ_CHECK(published == k);
-    sharded_current_ = sharded_world_->Current();
-    if (event_time_min >= config_.warmup_min) {
-      metrics->epochs_published += 1;
-      metrics->updates_applied += sharded_world_->updates_applied() - before;
-    }
-    return;
-  }
-  std::vector<dynamic::PoiUpdate> batch =
-      GenerateUpdateBatch(config_.updates, config_.seed, k, current_->pois,
-                          world_, base_insert_id_);
-  const int64_t before = versioner_->updates_applied();
-  const uint64_t published = versioner_->Apply(std::move(batch));
-  LBSQ_CHECK(published == k);
-  current_ = versioner_->Current();
-  if (event_time_min >= config_.warmup_min) {
-    metrics->epochs_published += 1;
-    metrics->updates_applied += versioner_->updates_applied() - before;
-  }
 }
 
 SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
@@ -250,7 +126,7 @@ SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
       const size_t interval =
           static_cast<size_t>(config_.updates.interval_events);
       end = std::min(end, (begin / interval + 1) * interval);
-      MaybeApplyUpdates(begin, events[begin].time_min, &metrics);
+      world_.MaybeApplyUpdates(begin, events[begin].time_min, &metrics);
     }
 
     // Epoch barrier: freeze every host's shareable data. Workers read the
@@ -304,7 +180,7 @@ SimMetrics ParallelSimulator::Execute(const std::vector<QueryEvent>& events) {
 
 SimMetrics ParallelSimulator::Run() {
   trace_.clear();
-  std::vector<QueryEvent> events = GenerateWorkload(config_, world_);
+  std::vector<QueryEvent> events = GenerateWorkload(config_, world_.bounds());
   SimMetrics metrics = Execute(events);
   if (config_.record_trace) trace_ = std::move(events);
   return metrics;
@@ -313,10 +189,7 @@ SimMetrics ParallelSimulator::Run() {
 SimMetrics ParallelSimulator::Replay(const std::vector<QueryEvent>& events) {
   // Update batches are keyed by event index; replaying a dynamic run on an
   // already-advanced world cannot reproduce the recording.
-  if (config_.updates.enabled()) {
-    LBSQ_CHECK((config_.shards > 1 ? sharded_world_->latest_epoch()
-                                   : versioner_->latest_epoch()) == 0);
-  }
+  LBSQ_CHECK(world_.versions().latest_epoch() == 0);
   for (const QueryEvent& event : events) {
     LBSQ_CHECK(event.host >= 0 &&
                event.host < mobility_proto_->num_hosts());

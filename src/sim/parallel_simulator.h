@@ -5,20 +5,16 @@
 #include <optional>
 #include <vector>
 
-#include "broadcast/system.h"
 #include "common/metrics_registry.h"
 #include "common/observability.h"
 #include "common/thread_pool.h"
 #include "core/peer_cache.h"
-#include "core/query_engine.h"
-#include "core/query_workspace.h"
 #include "core/sharded_query_engine.h"
-#include "dynamic/sharded_world.h"
-#include "dynamic/world_versioner.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "sim/mobility.h"
 #include "sim/query_exec.h"
+#include "sim/sim_world.h"
 #include "sim/trace.h"
 #include "spatial/grid_index.h"
 
@@ -78,25 +74,10 @@ class ParallelSimulator {
   /// Events recorded by the last Run() under record_trace.
   const std::vector<QueryEvent>& trace() const { return trace_; }
 
-  /// The broadcast channel of the currently pinned epoch (epoch 0 — the
-  /// full static world — unless updates are enabled and have fired).
-  /// Single-channel deployments only (config.shards == 1).
-  const broadcast::BroadcastSystem& system() const {
-    return *current_->system;
-  }
-  /// The simulated world rectangle.
-  const geom::Rect& world() const { return world_; }
+  /// The simulated server side: POI database, epochs, broadcast channels.
+  const SimWorld& world() const { return world_; }
   /// Host caches (for inspection in tests).
   const std::vector<core::PeerCache>& caches() const { return caches_; }
-  /// The query engine of the currently pinned epoch (shards == 1 only).
-  const core::QueryEngine& engine() const { return *current_->engine; }
-  /// The epoch store (epoch 0 only when updates are disabled); shards == 1
-  /// only.
-  const dynamic::WorldVersioner& versioner() const { return *versioner_; }
-  /// The sharded world (null unless config.shards > 1).
-  const dynamic::ShardedWorld* sharded_world() const {
-    return sharded_world_.get();
-  }
 
  private:
   /// Everything a worker thread owns privately: its fleet replica, its
@@ -107,11 +88,8 @@ class ParallelSimulator {
     std::vector<geom::Point> positions;
     spatial::GridIndex peer_index;
     /// Per-thread query scratch + broadcast-cycle cover memo; reused by
-    /// every event this worker executes. `workspace` serves the
-    /// single-channel deployment, `sharded_workspace` the multi-shard one
-    /// (only the configured deployment's scratch ever grows).
-    core::QueryWorkspace workspace;
-    core::ShardedQueryWorkspace sharded_workspace;
+    /// every event this worker executes.
+    core::ShardedQueryWorkspace workspace;
 
     Worker(const MobilityModel& proto, const geom::Rect& world,
            double cell_size);
@@ -140,37 +118,13 @@ class ParallelSimulator {
   EventResult ExecuteEvent(Worker* worker, const QueryEvent& event,
                            int64_t query_id);
 
-  /// Validates the cache completeness invariant of `host` against the full
-  /// POI set (check_cache_invariant mode). Brute force instead of the
-  /// R-tree: the tree's node-access counter is mutable state that worker
-  /// threads must not share. Under churn each entry is checked against the
-  /// snapshot of its own epoch.
-  void CheckCacheInvariant(int64_t host) const;
-
-  /// Applies the deterministic update batch due before event `event_index`
-  /// (a no-op unless updates are enabled and the index is a nonzero
-  /// multiple of the interval) and re-pins the published epoch. Called only
-  /// between chunks — chunk boundaries are clamped to update boundaries, so
-  /// the pinned epoch is immutable while workers run.
-  void MaybeApplyUpdates(size_t event_index, double event_time_min,
-                         SimMetrics* metrics);
-
   SimMetrics Execute(const std::vector<QueryEvent>& events);
 
   SimConfig config_;
-  geom::Rect world_;
-  /// Single-channel deployment (config.shards == 1): the epoch store and
-  /// the pinned epoch every event of the current chunk executes against
-  /// (re-pinned at update boundaries — always between chunks). Null at
-  /// shards > 1.
-  std::unique_ptr<dynamic::WorldVersioner> versioner_;
-  std::shared_ptr<const dynamic::WorldEpoch> current_;
-  /// Sharded deployment (config.shards > 1): the sharded epoch store and
-  /// its pinned epoch, with the same re-pin discipline. Null at shards == 1.
-  std::unique_ptr<dynamic::ShardedWorld> sharded_world_;
-  std::shared_ptr<const dynamic::ShardedEpoch> sharded_current_;
-  /// First id handed to inserted POIs (fixed at construction).
-  int64_t base_insert_id_ = 0;
+  /// Update batches apply only between chunks — chunk boundaries are
+  /// clamped to update boundaries — so the pinned epoch is immutable while
+  /// workers run.
+  SimWorld world_;
   std::unique_ptr<MobilityModel> mobility_proto_;
   std::vector<core::PeerCache> caches_;
   /// Shareable cache content of every host as of the last epoch barrier.

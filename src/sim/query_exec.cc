@@ -7,7 +7,6 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "fault/peer_faults.h"
-#include "kernels/poi_slab.h"
 #include "onair/onair_knn.h"
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
@@ -18,9 +17,8 @@ namespace {
 
 // Applies the configured peer-data corruption on the querier's copy of the
 // gathered peer data, drawing from the query's own fault stream.
-void MaybeCorruptPeers(const core::QueryEngine& engine, int64_t query_id,
+void MaybeCorruptPeers(const fault::FaultConfig& fault, int64_t query_id,
                        std::vector<core::PeerData>* peers) {
-  const fault::FaultConfig& fault = engine.options().fault;
   if (!fault.enabled() || !fault.peer.enabled()) return;
   Rng rng(fault::PeerStreamSeed(fault.seed, static_cast<uint64_t>(query_id)));
   fault::CorruptPeerData(fault.peer, &rng, peers);
@@ -65,6 +63,28 @@ void AccumulateCommonRegistry(const core::QueryResultCommon& common,
   }
 }
 
+// Runs `request` (peers bound by the caller) on the epoch's engine and
+// stamps the outcome's cacheable with the pinned global epoch.
+core::QueryOutcome ExecuteOnEpoch(const dynamic::ShardedEpoch& epoch,
+                                  const core::QueryRequest& request,
+                                  core::ShardedQueryWorkspace& workspace) {
+  core::QueryOutcome executed;
+  epoch.engine->Execute(request, workspace, &executed);
+  executed.Cacheable().epoch = epoch.id;
+  return executed;
+}
+
+// The baseline's peerless re-execution at N > 1 (see ExecuteKnnQuery).
+core::QueryOutcome ExecutePeerless(const core::ShardedQueryEngine& engine,
+                                   core::QueryRequest request,
+                                   core::ShardedQueryWorkspace& workspace) {
+  request.peers = {};
+  request.trace = nullptr;
+  core::QueryOutcome priced;
+  engine.Execute(request, workspace, &priced);
+  return priced;
+}
+
 }  // namespace
 
 core::EngineOptions EngineOptionsFromConfig(const SimConfig& config) {
@@ -82,14 +102,14 @@ core::EngineOptions EngineOptionsFromConfig(const SimConfig& config) {
 }
 
 KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
-                               const core::QueryEngine& engine,
+                               const dynamic::ShardedEpoch& epoch,
                                geom::Point pos, int k, int64_t slot,
-                               std::vector<core::PeerData> peers,
-                               bool measured, int64_t query_id,
-                               obs::TraceRecorder* trace,
-                               core::QueryWorkspace* workspace) {
+                               std::vector<core::PeerData> peers, bool measured,
+                               int64_t query_id, obs::TraceRecorder* trace,
+                               core::ShardedQueryWorkspace& workspace) {
+  const core::ShardedQueryEngine& engine = *epoch.engine;
   const int k_eff = k > 0 ? k : engine.options().sbnn.k;
-  MaybeCorruptPeers(engine, query_id, &peers);
+  MaybeCorruptPeers(config.fault, query_id, &peers);
 
   core::QueryRequest request;
   request.kind = core::QueryKind::kKnn;
@@ -103,25 +123,13 @@ KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
   request.fault_stream = static_cast<uint64_t>(query_id);
 
   KnnQueryResult result;
-  core::QueryOutcome executed;
-  if (workspace != nullptr) {
-    engine.Execute(request, *workspace, &executed);
-  } else {
-    executed = engine.Execute(request);
-  }
+  core::QueryOutcome executed = ExecuteOnEpoch(epoch, request, workspace);
   result.outcome = std::move(*executed.knn);
   result.regions_rejected = executed.regions_rejected;
 
   // Correctness accounting against the brute-force oracle (every query).
-  // With a per-worker workspace the oracle's distance scan over the full
-  // POI set runs through that worker's slab kernels, allocation-free.
   std::vector<spatial::PoiDistance> truth;
-  if (workspace != nullptr) {
-    spatial::BruteForceKnn(engine.system().pois(), pos, k_eff,
-                           &workspace->slab, &truth);
-  } else {
-    spatial::BruteForceKnn(engine.system().pois(), pos, k_eff, &truth);
-  }
+  spatial::BruteForceKnn(epoch.pois, pos, k_eff, &truth);
   bool exact = truth.size() == result.outcome.neighbors.size();
   for (size_t i = 0; exact && i < truth.size(); ++i) {
     // Compare distances (ids can differ under exact ties).
@@ -136,22 +144,30 @@ KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
 
   if (measured) {
     // What the pure on-air baseline would have cost for this query.
-    const onair::OnAirKnnResult baseline =
-        onair::OnAirKnn(engine.system(), pos, k_eff, slot);
-    result.baseline_latency = baseline.stats.access_latency;
-    result.baseline_tuning = baseline.stats.tuning_time;
+    if (engine.num_shards() == 1) {
+      const onair::OnAirKnnResult baseline =
+          onair::OnAirKnn(*engine.shard_system(0), pos, k_eff, slot);
+      result.baseline_latency = baseline.stats.access_latency;
+      result.baseline_tuning = baseline.stats.tuning_time;
+    } else {
+      const core::QueryOutcome priced =
+          ExecutePeerless(engine, request, workspace);
+      result.baseline_latency = priced.knn->stats.access_latency;
+      result.baseline_tuning = priced.knn->stats.tuning_time;
+    }
   }
   return result;
 }
 
 WindowQueryResult ExecuteWindowQuery(const SimConfig& config,
-                                     const core::QueryEngine& engine,
+                                     const dynamic::ShardedEpoch& epoch,
                                      const geom::Rect& window, int64_t slot,
                                      std::vector<core::PeerData> peers,
                                      bool measured, int64_t query_id,
                                      obs::TraceRecorder* trace,
-                                     core::QueryWorkspace* workspace) {
-  MaybeCorruptPeers(engine, query_id, &peers);
+                                     core::ShardedQueryWorkspace& workspace) {
+  const core::ShardedQueryEngine& engine = *epoch.engine;
+  MaybeCorruptPeers(config.fault, query_id, &peers);
 
   core::QueryRequest request;
   request.kind = core::QueryKind::kWindow;
@@ -162,133 +178,30 @@ WindowQueryResult ExecuteWindowQuery(const SimConfig& config,
   request.fault_stream = static_cast<uint64_t>(query_id);
 
   WindowQueryResult result;
-  core::QueryOutcome executed;
-  if (workspace != nullptr) {
-    engine.Execute(request, *workspace, &executed);
-  } else {
-    executed = engine.Execute(request);
-  }
+  core::QueryOutcome executed = ExecuteOnEpoch(epoch, request, workspace);
   result.outcome = std::move(*executed.window);
   result.regions_rejected = executed.regions_rejected;
 
   // Correctness accounting against the brute-force oracle (every query).
-  std::vector<spatial::Poi> truth;
-  if (workspace != nullptr) {
-    spatial::BruteForceWindow(engine.system().pois(), window,
-                              &workspace->slab, &truth);
-  } else {
-    kernels::SlabScratch scratch;
-    spatial::BruteForceWindow(engine.system().pois(), window, &scratch,
-                              &truth);
-  }
+  const std::vector<spatial::Poi> truth =
+      spatial::BruteForceWindow(epoch.pois, window);
   result.exact = truth == result.outcome.pois;
   if (config.check_answers && !config.fault.enabled()) {
     LBSQ_CHECK(result.exact);
   }
 
   if (measured) {
-    const onair::OnAirWindowResult baseline = onair::OnAirWindow(
-        engine.system(), window, slot, config.retrieval);
-    result.baseline_latency = baseline.stats.access_latency;
-    result.baseline_tuning = baseline.stats.tuning_time;
-  }
-  return result;
-}
-
-KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
-                               const core::ShardedQueryEngine& engine,
-                               const std::vector<spatial::Poi>& oracle_pois,
-                               geom::Point pos, int k, int64_t slot,
-                               std::vector<core::PeerData> peers, bool measured,
-                               int64_t query_id, obs::TraceRecorder* trace,
-                               core::ShardedQueryWorkspace& workspace) {
-  const int k_eff = k > 0 ? k : engine.options().sbnn.k;
-  // No peer corruption: fault injection is structurally disallowed at
-  // N > 1 (SimConfig::Validate), and a 1-shard sharded run must stay
-  // byte-identical to the unsharded engine — which it is, since with fault
-  // disabled MaybeCorruptPeers is a no-op there too.
-
-  core::QueryRequest request;
-  request.kind = core::QueryKind::kKnn;
-  request.position = pos;
-  request.k = k_eff;
-  request.slot = slot;
-  request.peers = peers;
-  request.trace = trace;
-  request.fault_stream = static_cast<uint64_t>(query_id);
-
-  KnnQueryResult result;
-  core::QueryOutcome executed;
-  engine.Execute(request, workspace, &executed);
-  result.outcome = std::move(*executed.knn);
-  result.regions_rejected = executed.regions_rejected;
-
-  // Correctness accounting against the brute-force oracle over the global
-  // POI set (the sharded engine holds it only in per-shard pieces).
-  std::vector<spatial::PoiDistance> truth;
-  spatial::BruteForceKnn(oracle_pois, pos, k_eff, &truth);
-  bool exact = truth.size() == result.outcome.neighbors.size();
-  for (size_t i = 0; exact && i < truth.size(); ++i) {
-    exact = std::abs(truth[i].distance -
-                     result.outcome.neighbors[i].distance) < 1e-9;
-  }
-  result.exact = exact;
-  if (result.outcome.resolved_by != core::ResolvedBy::kPeersApproximate &&
-      config.check_answers) {
-    LBSQ_CHECK(exact);
-  }
-
-  if (measured) {
-    // The baseline is the same deployment queried peerlessly: the
-    // multi-channel on-air cost, merged under the latency = max /
-    // tuning = sum conventions.
-    core::QueryRequest baseline = request;
-    baseline.peers = {};
-    baseline.trace = nullptr;
-    core::QueryOutcome priced;
-    engine.Execute(baseline, workspace, &priced);
-    result.baseline_latency = priced.knn->stats.access_latency;
-    result.baseline_tuning = priced.knn->stats.tuning_time;
-  }
-  return result;
-}
-
-WindowQueryResult ExecuteWindowQuery(
-    const SimConfig& config, const core::ShardedQueryEngine& engine,
-    const std::vector<spatial::Poi>& oracle_pois, const geom::Rect& window,
-    int64_t slot, std::vector<core::PeerData> peers, bool measured,
-    int64_t query_id, obs::TraceRecorder* trace,
-    core::ShardedQueryWorkspace& workspace) {
-  core::QueryRequest request;
-  request.kind = core::QueryKind::kWindow;
-  request.window = window;
-  request.slot = slot;
-  request.peers = peers;
-  request.trace = trace;
-  request.fault_stream = static_cast<uint64_t>(query_id);
-
-  WindowQueryResult result;
-  core::QueryOutcome executed;
-  engine.Execute(request, workspace, &executed);
-  result.outcome = std::move(*executed.window);
-  result.regions_rejected = executed.regions_rejected;
-
-  std::vector<spatial::Poi> truth;
-  kernels::SlabScratch scratch;
-  spatial::BruteForceWindow(oracle_pois, window, &scratch, &truth);
-  result.exact = truth == result.outcome.pois;
-  if (config.check_answers) {
-    LBSQ_CHECK(result.exact);
-  }
-
-  if (measured) {
-    core::QueryRequest baseline = request;
-    baseline.peers = {};
-    baseline.trace = nullptr;
-    core::QueryOutcome priced;
-    engine.Execute(baseline, workspace, &priced);
-    result.baseline_latency = priced.window->stats.access_latency;
-    result.baseline_tuning = priced.window->stats.tuning_time;
+    if (engine.num_shards() == 1) {
+      const onair::OnAirWindowResult baseline = onair::OnAirWindow(
+          *engine.shard_system(0), window, slot, config.retrieval);
+      result.baseline_latency = baseline.stats.access_latency;
+      result.baseline_tuning = baseline.stats.tuning_time;
+    } else {
+      const core::QueryOutcome priced =
+          ExecutePeerless(engine, request, workspace);
+      result.baseline_latency = priced.window->stats.access_latency;
+      result.baseline_tuning = priced.window->stats.tuning_time;
+    }
   }
   return result;
 }

@@ -8,8 +8,8 @@
 #include "common/metrics_registry.h"
 #include "common/observability.h"
 #include "core/query_engine.h"
-#include "core/query_workspace.h"
 #include "core/sharded_query_engine.h"
+#include "dynamic/sharded_world.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "spatial/grid_index.h"
@@ -56,60 +56,46 @@ struct WindowQueryResult {
   int64_t regions_rejected = 0;
 };
 
-/// Runs SBNN through `engine` for one query, checks it against the
-/// brute-force oracle (aborting via LBSQ_CHECK under `config.check_answers`
-/// for exact-path answers; the check is waived while fault injection is
-/// enabled, since degraded or peer-corrupted answers may legitimately
-/// differ), and — when `measured` — prices the pure on-air baseline. A
-/// non-null `trace` receives the query's span/counter events.
+/// Runs SBNN for one query on the pinned `epoch`'s sharded engine, stamps
+/// the outcome's cacheable with the epoch's global id (clean shards still
+/// carry the stamp of their last rebuild; what this query verified is
+/// consistent with the pinned epoch, which is what peer revalidation
+/// consults), checks the answer against a brute-force oracle over the
+/// epoch's POI snapshot (aborting via LBSQ_CHECK under
+/// `config.check_answers` for exact-path answers; the check is waived while
+/// fault injection is enabled, since degraded or peer-corrupted answers may
+/// legitimately differ), and — when `measured` — prices the pure on-air
+/// baseline. A non-null `trace` receives the query's span/counter events.
+///
 /// `query_id` is the global event index: it keys the per-query fault
 /// streams (peer corruption and channel schedule), making fault outcomes
-/// independent of thread count. Thread-safe: reads only immutable state
-/// plus the caller's own `workspace` — pass one per worker thread to reuse
-/// query scratch and the broadcast-cycle cover memo across events (null
-/// falls back to transient buffers; results are bit-identical either way).
+/// independent of thread count. Fault injection is a single-channel
+/// concept (SimConfig::Validate rejects it at N > 1), so peer corruption
+/// only ever applies at one shard.
+///
+/// The baseline at one shard is the on-air client of Zheng et al. on the
+/// channel. At N > 1 it is the same deployment queried peerlessly — the
+/// multi-channel on-air cost under the merged latency = max / tuning = sum
+/// conventions.
+///
+/// Thread-safe: reads only immutable state plus the caller's own
+/// `workspace` — pass one per worker thread to reuse query scratch and the
+/// broadcast-cycle cover memo across events.
 KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
-                               const core::QueryEngine& engine,
-                               geom::Point pos, int k, int64_t slot,
-                               std::vector<core::PeerData> peers,
-                               bool measured, int64_t query_id = 0,
-                               obs::TraceRecorder* trace = nullptr,
-                               core::QueryWorkspace* workspace = nullptr);
-
-/// Window-query counterpart of ExecuteKnnQuery.
-WindowQueryResult ExecuteWindowQuery(const SimConfig& config,
-                                     const core::QueryEngine& engine,
-                                     const geom::Rect& window, int64_t slot,
-                                     std::vector<core::PeerData> peers,
-                                     bool measured, int64_t query_id = 0,
-                                     obs::TraceRecorder* trace = nullptr,
-                                     core::QueryWorkspace* workspace = nullptr);
-
-/// Sharded-deployment counterpart of ExecuteKnnQuery (config.shards > 1):
-/// the query runs through the multi-shard engine and its merged outcome is
-/// checked against a brute-force oracle over `oracle_pois` — the *global*
-/// POI set of the pinned epoch, which the sharded engine does not hold in
-/// one place. The baseline is a peerless re-execution on the same sharded
-/// deployment (the multi-channel on-air cost, with the merged latency = max
-/// / tuning = sum conventions), priced only for measured queries. Fault
-/// injection is structurally off at N > 1, so unlike the single-channel
-/// path no peer corruption is applied. Thread-safe under one `workspace`
-/// per worker.
-KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
-                               const core::ShardedQueryEngine& engine,
-                               const std::vector<spatial::Poi>& oracle_pois,
+                               const dynamic::ShardedEpoch& epoch,
                                geom::Point pos, int k, int64_t slot,
                                std::vector<core::PeerData> peers, bool measured,
                                int64_t query_id, obs::TraceRecorder* trace,
                                core::ShardedQueryWorkspace& workspace);
 
-/// Sharded-deployment counterpart of ExecuteWindowQuery.
-WindowQueryResult ExecuteWindowQuery(
-    const SimConfig& config, const core::ShardedQueryEngine& engine,
-    const std::vector<spatial::Poi>& oracle_pois, const geom::Rect& window,
-    int64_t slot, std::vector<core::PeerData> peers, bool measured,
-    int64_t query_id, obs::TraceRecorder* trace,
-    core::ShardedQueryWorkspace& workspace);
+/// Window-query counterpart of ExecuteKnnQuery.
+WindowQueryResult ExecuteWindowQuery(const SimConfig& config,
+                                     const dynamic::ShardedEpoch& epoch,
+                                     const geom::Rect& window, int64_t slot,
+                                     std::vector<core::PeerData> peers,
+                                     bool measured, int64_t query_id,
+                                     obs::TraceRecorder* trace,
+                                     core::ShardedQueryWorkspace& workspace);
 
 /// Records a measured kNN query into `metrics` (counters, resolved-by
 /// breakdown, latency/tuning accumulators) in the canonical order. A

@@ -4,22 +4,16 @@
 #include <memory>
 #include <vector>
 
-#include "broadcast/system.h"
 #include "common/metrics_registry.h"
 #include "common/observability.h"
-#include "common/rng.h"
 #include "core/peer_cache.h"
-#include "core/query_engine.h"
-#include "core/query_workspace.h"
 #include "core/sharded_query_engine.h"
-#include "dynamic/sharded_world.h"
-#include "dynamic/world_versioner.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "sim/mobility.h"
+#include "sim/sim_world.h"
 #include "sim/trace.h"
 #include "spatial/grid_index.h"
-#include "spatial/rtree.h"
 
 /// \file
 /// The end-to-end simulation of the paper's §4.1 system model: a base
@@ -67,25 +61,10 @@ class Simulator {
   /// Events recorded by the last Run() under record_trace.
   const std::vector<QueryEvent>& trace() const { return trace_; }
 
-  /// The broadcast channel of the currently pinned epoch (epoch 0 — the
-  /// full static world — unless updates are enabled and have fired).
-  /// Single-channel deployments only (config.shards == 1).
-  const broadcast::BroadcastSystem& system() const {
-    return *current_->system;
-  }
-  /// The simulated world rectangle.
-  const geom::Rect& world() const { return world_; }
+  /// The simulated server side: POI database, epochs, broadcast channels.
+  const SimWorld& world() const { return world_; }
   /// Host caches (for inspection in tests).
   const std::vector<core::PeerCache>& caches() const { return caches_; }
-  /// The query engine of the currently pinned epoch (shards == 1 only).
-  const core::QueryEngine& engine() const { return *current_->engine; }
-  /// The epoch store (epoch 0 only when updates are disabled); shards == 1
-  /// only.
-  const dynamic::WorldVersioner& versioner() const { return *versioner_; }
-  /// The sharded world (null unless config.shards > 1).
-  const dynamic::ShardedWorld* sharded_world() const {
-    return sharded_world_.get();
-  }
 
  private:
   /// Positions every host at time `t`, refreshes the peer index, gathers
@@ -94,33 +73,8 @@ class Simulator {
   void ExecuteEvent(const QueryEvent& event, int64_t query_id,
                     SimMetrics* metrics);
 
-  /// Applies the deterministic update batch due before event `event_index`
-  /// (a no-op unless updates are enabled and the index is a nonzero
-  /// multiple of the configured interval) and re-pins the published epoch.
-  void MaybeApplyUpdates(size_t event_index, double event_time_min,
-                         SimMetrics* metrics);
-
-  /// Validates the cache completeness invariant of `host` against the
-  /// server database (check_cache_invariant mode). Under churn each entry
-  /// is checked against the snapshot of its *own* epoch — completeness is
-  /// an epoch-relative guarantee.
-  void CheckCacheInvariant(int64_t host) const;
-
   SimConfig config_;
-  geom::Rect world_;
-  /// Single-channel deployment (config.shards == 1): the epoch store and
-  /// the pinned epoch every event executes against (re-pinned after each
-  /// update batch). Null at shards > 1.
-  std::unique_ptr<dynamic::WorldVersioner> versioner_;
-  std::shared_ptr<const dynamic::WorldEpoch> current_;
-  /// Sharded deployment (config.shards > 1): the sharded epoch store, its
-  /// pinned epoch, and the multi-shard query scratch. Null at shards == 1.
-  std::unique_ptr<dynamic::ShardedWorld> sharded_world_;
-  std::shared_ptr<const dynamic::ShardedEpoch> sharded_current_;
-  core::ShardedQueryWorkspace sharded_workspace_;
-  /// First id handed to inserted POIs (fixed at construction).
-  int64_t base_insert_id_ = 0;
-  spatial::RTree server_index_;
+  SimWorld world_;
   std::unique_ptr<MobilityModel> mobility_;
   std::vector<core::PeerCache> caches_;
   spatial::GridIndex peer_index_;
@@ -132,7 +86,7 @@ class Simulator {
   obs::TraceRecorder recorder_;
   /// Reused query scratch + broadcast-cycle cover memo for every event this
   /// (single-threaded) engine executes.
-  core::QueryWorkspace workspace_;
+  core::ShardedQueryWorkspace workspace_;
 };
 
 }  // namespace lbsq::sim

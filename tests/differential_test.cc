@@ -10,8 +10,8 @@
 #include "core/query_workspace.h"
 #include "core/sbnn.h"
 #include "core/sbwq.h"
-#include "dynamic/dynamic_engine.h"
-#include "dynamic/world_versioner.h"
+#include "core/sharded_query_engine.h"
+#include "dynamic/sharded_world.h"
 #include "onair/onair_knn.h"
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
@@ -139,14 +139,14 @@ TEST_P(DifferentialTest, AllKnnImplementationsAgree) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
                          ::testing::Range<uint64_t>(1, 16));
 
-// --- Dynamic engine with zero updates == static engine ---------------------
+// --- Versioned world with zero updates == static engine --------------------
 
-// The updates-off contract of the dynamic world: a WorldVersioner that never
-// receives a batch serves epoch 0 forever, and queries executed through the
-// DynamicQueryEngine are bit-identical — answers, access stats, and
-// cacheable regions — to the same queries against a directly constructed
-// static QueryEngine over the same POIs.
-TEST_P(DifferentialTest, ZeroUpdateDynamicEngineMatchesStatic) {
+// The updates-off contract of the dynamic world: a one-shard ShardedWorld
+// that never receives a batch serves epoch 0 forever, and queries executed
+// through ShardedWorld::Execute are bit-identical — answers, access stats,
+// and cacheable regions — to the same queries against a directly
+// constructed static QueryEngine over the same POIs.
+TEST_P(DifferentialTest, ZeroUpdateShardedWorldMatchesStatic) {
   World world(GetParam());
   Rng rng(GetParam() * 41 + 3);
   const geom::Rect bounds{0.0, 0.0, 15.0, 15.0};
@@ -160,12 +160,11 @@ TEST_P(DifferentialTest, ZeroUpdateDynamicEngineMatchesStatic) {
   broadcast::BroadcastSystem static_system(world.pois, bounds, params);
   core::QueryEngine static_engine(static_system, bounds, options);
 
-  dynamic::WorldVersioner versioner(world.pois, bounds, params, options);
-  dynamic::DynamicQueryEngine dyn(versioner);
-  EXPECT_EQ(versioner.latest_epoch(), 0u);
+  dynamic::ShardedWorld versions(world.pois, bounds, params, options, 1);
+  EXPECT_EQ(versions.latest_epoch(), 0u);
 
   core::QueryWorkspace static_ws;
-  core::QueryWorkspace dyn_ws;
+  core::ShardedQueryWorkspace dyn_ws;
   core::QueryOutcome static_out;
   core::QueryOutcome dyn_out;
   for (int trial = 0; trial < 10; ++trial) {
@@ -187,14 +186,14 @@ TEST_P(DifferentialTest, ZeroUpdateDynamicEngineMatchesStatic) {
     request.slot = trial * 7;
 
     // The static engine reads `peers` through the request's span; the
-    // dynamic engine takes the same vector as its mutable snapshot (with
+    // versioned world takes the same vector as its mutable snapshot (with
     // zero updates, revalidation never edits it).
     request.peers = peers;
     static_engine.Execute(request, static_ws, &static_out);
     request.peers = {};
     dynamic::RevalidationStats stats;
-    const std::shared_ptr<const dynamic::WorldEpoch> pinned =
-        dyn.Execute(request, &peers, dyn_ws, &dyn_out, &stats);
+    const std::shared_ptr<const dynamic::ShardedEpoch> pinned =
+        versions.Execute(request, &peers, dyn_ws, &dyn_out, &stats);
 
     EXPECT_EQ(pinned->id, 0u);
     // Revalidation with no updates never touches anything.

@@ -6,14 +6,12 @@
 
 #include "broadcast/system.h"
 #include "common/rng.h"
-#include "engine_shim.h"
 #include "core/peer_cache.h"
 #include "core/query_engine.h"
-#include "core/query_workspace.h"
+#include "core/sharded_query_engine.h"
 #include "core/verified_region.h"
-#include "dynamic/dynamic_engine.h"
+#include "dynamic/sharded_world.h"
 #include "dynamic/update_log.h"
-#include "dynamic/world_versioner.h"
 #include "fault/peer_faults.h"
 #include "spatial/generators.h"
 
@@ -73,27 +71,26 @@ TEST(DynamicCacheTest, CacheEntriesCarryTheirEpochTag) {
   std::vector<Poi> pois = spatial::GenerateUniformPois(&rng, world, 120);
   broadcast::BroadcastParams params;
   params.bucket_capacity = 8;
-  dynamic::WorldVersioner versioner(pois, world, params, {});
+  dynamic::ShardedWorld versions(pois, world, params, {}, 1);
 
   // Run one broadcast-path query per epoch as the world advances and cache
   // its outcome: the cacheable region must carry the serving epoch through
   // engine stamping, PeerCache insertion, capacity shrinking, and Share().
   core::PeerCache cache(400, 8);
-  core::QueryWorkspace ws;
+  core::ShardedQueryWorkspace ws;
   core::QueryOutcome outcome;
   for (uint64_t e = 0; e <= 2; ++e) {
-    const std::shared_ptr<const dynamic::WorldEpoch> epoch =
-        versioner.Current();
-    ASSERT_EQ(epoch->id, e);
     core::QueryRequest request;
     request.kind = core::QueryKind::kKnn;
     request.position = {2.0 + 3.0 * static_cast<double>(e), 5.0};
     request.k = 4;
-    epoch->engine->Execute(request, ws, &outcome);
+    const std::shared_ptr<const dynamic::ShardedEpoch> epoch =
+        versions.Execute(request, /*peers=*/nullptr, ws, &outcome);
+    ASSERT_EQ(epoch->id, e);
     EXPECT_EQ(outcome.Cacheable().epoch, e);
     cache.Insert(outcome.Cacheable(), request.position, request.position,
                  {1.0, 0.0});
-    versioner.Apply({dynamic::PoiUpdate{
+    versions.Apply({dynamic::PoiUpdate{
         dynamic::PoiUpdate::Kind::kInsert,
         static_cast<int64_t>(5000 + e), {1.0, 1.0}, {}}});
   }
@@ -115,8 +112,8 @@ TEST(DynamicCacheTest, RevalidationKeepsCleanRegionsRejectsDirtyOnes) {
   Rng rng(202);
   std::vector<Poi> pois = spatial::GenerateUniformPois(&rng, world, 150);
   broadcast::BroadcastParams params;
-  dynamic::WorldVersioner versioner(pois, world, params, {});
-  const std::vector<Poi> epoch0 = versioner.Current()->pois;
+  dynamic::ShardedWorld versions(pois, world, params, {}, 1);
+  const std::vector<Poi> epoch0 = versions.Current()->pois;
 
   // Two epoch-0 regions: `clean` in the top-right, `dirty` in the
   // bottom-left where the update batch will land.
@@ -127,12 +124,11 @@ TEST(DynamicCacheTest, RevalidationKeepsCleanRegionsRejectsDirtyOnes) {
   peer.regions.push_back(CompleteRegionOn(epoch0, dirty_rect, 0));
 
   // Epoch 1: one insert inside the dirty rect, far from the clean one.
-  versioner.Apply({dynamic::PoiUpdate{dynamic::PoiUpdate::Kind::kInsert,
-                                      7000, {2.0, 2.0}, {}}});
+  versions.Apply({dynamic::PoiUpdate{dynamic::PoiUpdate::Kind::kInsert,
+                                     7000, {2.0, 2.0}, {}}});
 
   std::vector<PeerData> peers{peer};
-  const dynamic::RevalidationStats stats =
-      dynamic::RevalidatePeerData(versioner, 1, &peers);
+  const dynamic::RevalidationStats stats = versions.RevalidatePeers(1, &peers);
   EXPECT_EQ(stats.revalidated, 1);
   EXPECT_EQ(stats.rejected, 1);
   ASSERT_EQ(peers[0].regions.size(), 1u);
@@ -140,13 +136,13 @@ TEST(DynamicCacheTest, RevalidationKeepsCleanRegionsRejectsDirtyOnes) {
   // The survivor is retagged to the pinned epoch and satisfies the oracle
   // on the pinned snapshot.
   EXPECT_EQ(peers[0].regions[0].epoch, 1u);
-  EXPECT_TRUE(RegionCompleteOn(versioner.Current()->pois, peers[0].regions[0]));
+  EXPECT_TRUE(RegionCompleteOn(versions.Current()->pois, peers[0].regions[0]));
 
   // Same-epoch regions are never touched.
   std::vector<PeerData> fresh{PeerData{
-      {CompleteRegionOn(versioner.Current()->pois, dirty_rect, 1)}}};
+      {CompleteRegionOn(versions.Current()->pois, dirty_rect, 1)}}};
   const dynamic::RevalidationStats none =
-      dynamic::RevalidatePeerData(versioner, 1, &fresh);
+      versions.RevalidatePeers(1, &fresh);
   EXPECT_EQ(none.revalidated, 0);
   EXPECT_EQ(none.rejected, 0);
   EXPECT_EQ(fresh[0].regions.size(), 1u);
@@ -167,22 +163,23 @@ TEST(DynamicCacheTest, SurvivorsOfRevalidationAlwaysSatisfyTheOracle) {
     const int n = static_cast<int>(rng.UniformInt(30, 150));
     std::vector<Poi> pois = spatial::GenerateUniformPois(&rng, world, n);
     broadcast::BroadcastParams params;
-    dynamic::WorldVersioner versioner(pois, world, params, {},
-                                      /*retain_history=*/true);
+    dynamic::ShardedWorld versions(pois, world, params, {}, 1);
     int64_t next_id = 900000;
 
     // Regions captured per epoch, complete w.r.t. that epoch's snapshot.
     std::vector<PeerData> gathered;
     const int epochs = static_cast<int>(rng.UniformInt(1, 6));
     for (int e = 0; e <= epochs; ++e) {
-      const std::vector<Poi>& snapshot = versioner.Current()->pois;
+      const std::shared_ptr<const dynamic::ShardedEpoch> snapshot =
+          versions.Current();
       PeerData peer;
       const int n_regions = static_cast<int>(rng.UniformInt(1, 4));
       for (int r = 0; r < n_regions; ++r) {
         const geom::Point c{rng.Uniform(0.0, 10.0), rng.Uniform(0.0, 10.0)};
         VerifiedRegion vr = CompleteRegionOn(
-            snapshot, geom::Rect::CenteredSquare(c, rng.Uniform(0.3, 2.0)),
-            versioner.latest_epoch());
+            snapshot->pois,
+            geom::Rect::CenteredSquare(c, rng.Uniform(0.3, 2.0)),
+            snapshot->id);
         if (!vr.pois.empty()) peer.regions.push_back(std::move(vr));
       }
       if (!peer.regions.empty()) gathered.push_back(std::move(peer));
@@ -190,7 +187,7 @@ TEST(DynamicCacheTest, SurvivorsOfRevalidationAlwaysSatisfyTheOracle) {
       // Random batch: inserts, deletes, moves against the live snapshot.
       std::vector<dynamic::PoiUpdate> batch;
       const int ops = static_cast<int>(rng.UniformInt(1, 5));
-      const std::vector<Poi>& live = versioner.Current()->pois;
+      const std::vector<Poi>& live = snapshot->pois;
       for (int op = 0; op < ops; ++op) {
         dynamic::PoiUpdate u;
         const double kind = rng.NextDouble();
@@ -208,13 +205,15 @@ TEST(DynamicCacheTest, SurvivorsOfRevalidationAlwaysSatisfyTheOracle) {
         }
         batch.push_back(u);
       }
-      versioner.Apply(std::move(batch));
+      versions.Apply(std::move(batch));
     }
 
-    const uint64_t pinned = versioner.latest_epoch();
-    const std::vector<Poi>& pinned_pois = versioner.Current()->pois;
+    const std::shared_ptr<const dynamic::ShardedEpoch> pinned_epoch =
+        versions.Current();
+    const uint64_t pinned = pinned_epoch->id;
+    const std::vector<Poi>& pinned_pois = pinned_epoch->pois;
     const dynamic::RevalidationStats stats =
-        dynamic::RevalidatePeerData(versioner, pinned, &gathered);
+        versions.RevalidatePeers(pinned, &gathered);
     rejected += stats.rejected;
     for (const PeerData& peer : gathered) {
       for (const VerifiedRegion& vr : peer.regions) {

@@ -7,22 +7,21 @@
 
 #include "broadcast/system.h"
 #include "common/rng.h"
-#include "engine_shim.h"
 #include "core/query_engine.h"
-#include "core/query_workspace.h"
-#include "dynamic/dynamic_engine.h"
+#include "core/sharded_query_engine.h"
+#include "dynamic/sharded_world.h"
 #include "dynamic/update_log.h"
-#include "dynamic/world_versioner.h"
 #include "sim/config.h"
 #include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "sim/update_workload.h"
 #include "spatial/generators.h"
 
-/// The dynamic-world subsystem: UpdateLog semantics, WorldVersioner epoch
-/// publication (synchronous and via the builder thread), snapshot pinning
-/// under concurrent churn (the TSan target), and bitwise determinism of
-/// the simulators with updates enabled.
+/// The dynamic-world subsystem: UpdateLog semantics, ShardedWorld epoch
+/// publication and pinning, snapshot consistency under concurrent churn
+/// (the TSan target) at one and at four shards, and bitwise determinism of
+/// the simulators with updates enabled — including the cache invariant
+/// checked against every epoch's snapshot at any shard count.
 
 namespace lbsq {
 namespace {
@@ -101,70 +100,62 @@ TEST(UpdateLogTest, RegionDirtyBetweenSeesAllThreeKinds) {
   EXPECT_FALSE(log.RegionDirtyBetween({0.0, 6.0, 1.0, 7.0}, 0, 2));
 }
 
-// --- WorldVersioner epochs -------------------------------------------------
+// --- ShardedWorld epochs --------------------------------------------------
 
-TEST(WorldVersionerTest, PublishesSequentialEpochsAndPinsSnapshots) {
+TEST(ShardedWorldPublishTest, PublishesSequentialEpochsAndPinsSnapshots) {
   const geom::Rect world{0.0, 0.0, 10.0, 10.0};
   broadcast::BroadcastParams params;
-  dynamic::WorldVersioner versioner(TestPois(), world, params, {});
-  EXPECT_EQ(versioner.latest_epoch(), 0u);
-  EXPECT_EQ(versioner.Current()->system->epoch(), 0u);
+  dynamic::ShardedWorld versions(TestPois(), world, params, {}, 1);
+  EXPECT_EQ(versions.latest_epoch(), 0u);
+  EXPECT_EQ(versions.Current()->engine->shard_system(0)->epoch(), 0u);
 
-  const std::shared_ptr<const dynamic::WorldEpoch> pinned =
-      versioner.Current();
-  versioner.Apply({{PoiUpdate::Kind::kDelete, 2, {}, {}}});
-  EXPECT_EQ(versioner.latest_epoch(), 1u);
-  EXPECT_EQ(versioner.updates_applied(), 1);
-  EXPECT_EQ(versioner.Current()->pois.size(), 4u);
-  EXPECT_EQ(versioner.Current()->system->epoch(), 1u);
+  const std::shared_ptr<const dynamic::ShardedEpoch> pinned =
+      versions.Current();
+  versions.Apply({{PoiUpdate::Kind::kDelete, 2, {}, {}}});
+  EXPECT_EQ(versions.latest_epoch(), 1u);
+  EXPECT_EQ(versions.updates_applied(), 1);
+  EXPECT_EQ(versions.Current()->pois.size(), 4u);
+  EXPECT_EQ(versions.Current()->engine->shard_system(0)->epoch(), 1u);
   // The pinned epoch-0 snapshot is untouched by the publication.
   EXPECT_EQ(pinned->id, 0u);
   EXPECT_EQ(pinned->pois.size(), 5u);
   EXPECT_EQ(pinned->pois[2].id, 2);
+  EXPECT_EQ(pinned->engine->shard_system(0)->epoch(), 0u);
 }
 
-TEST(WorldVersionerTest, HistoryRetentionServesEveryEpoch) {
+// History is the caller's: every pin it keeps stays a complete, queryable
+// world however many epochs are published after it.
+TEST(ShardedWorldPublishTest, RetainedPinsServeEveryEpoch) {
   const geom::Rect world{0.0, 0.0, 10.0, 10.0};
   broadcast::BroadcastParams params;
-  dynamic::WorldVersioner versioner(TestPois(), world, params, {},
-                                    /*retain_history=*/true);
-  versioner.Apply({{PoiUpdate::Kind::kDelete, 0, {}, {}}});
-  versioner.Apply({{PoiUpdate::Kind::kInsert, 50, {4.0, 4.0}, {}}});
-  ASSERT_EQ(versioner.latest_epoch(), 2u);
-  EXPECT_EQ(versioner.EpochAt(0)->pois.size(), 5u);
-  EXPECT_EQ(versioner.EpochAt(1)->pois.size(), 4u);
-  EXPECT_EQ(versioner.EpochAt(2)->pois.size(), 5u);
-  EXPECT_EQ(versioner.EpochAt(3), nullptr);
+  dynamic::ShardedWorld versions(TestPois(), world, params, {}, 1);
+  std::vector<std::shared_ptr<const dynamic::ShardedEpoch>> history{
+      versions.Current()};
+  versions.Apply({{PoiUpdate::Kind::kDelete, 0, {}, {}}});
+  history.push_back(versions.Current());
+  versions.Apply({{PoiUpdate::Kind::kInsert, 50, {4.0, 4.0}, {}}});
+  history.push_back(versions.Current());
+  ASSERT_EQ(versions.latest_epoch(), 2u);
+  for (uint64_t e = 0; e < history.size(); ++e) {
+    EXPECT_EQ(history[e]->id, e);
+    EXPECT_EQ(history[e]->engine->total_pois(), history[e]->pois.size());
+  }
+  EXPECT_EQ(history[0]->pois.size(), 5u);
+  EXPECT_EQ(history[1]->pois.size(), 4u);
+  EXPECT_EQ(history[2]->pois.size(), 5u);
 }
 
-TEST(WorldVersionerTest, BuilderThreadPublishesEnqueuedBatches) {
-  const geom::Rect world{0.0, 0.0, 10.0, 10.0};
-  broadcast::BroadcastParams params;
-  dynamic::WorldVersioner versioner(TestPois(), world, params, {});
-  versioner.StartBuilder();
-  versioner.EnqueueBatch({{PoiUpdate::Kind::kDelete, 4, {}, {}}});
-  versioner.EnqueueBatch({{PoiUpdate::Kind::kInsert, 60, {7.0, 7.0}, {}}});
-  versioner.WaitForEpoch(2);
-  EXPECT_EQ(versioner.latest_epoch(), 2u);
-  EXPECT_EQ(versioner.Current()->pois.size(), 5u);
-  versioner.StopBuilder();
-  // Restartable after a stop.
-  versioner.StartBuilder();
-  versioner.EnqueueBatch({{PoiUpdate::Kind::kDelete, 0, {}, {}}});
-  versioner.WaitForEpoch(3);
-  versioner.StopBuilder();
-  EXPECT_EQ(versioner.Current()->pois.size(), 4u);
-}
+// --- Producer churn vs. concurrent query threads (the TSan target) ---------
 
-// --- Builder churn vs. concurrent query threads (the TSan target) ----------
-
-// A builder thread continuously publishes epochs while query threads pin
+// A producer thread continuously publishes epochs while query threads pin
 // snapshots and execute against them. Every query must observe exactly the
 // world of its pinned epoch: the answer it computes against the pinned
 // engine equals the brute-force answer over the pinned POI vector. TSan
 // (the dynamic-world CI job) proves the pin/publish handoff is race-free;
 // the assertions prove it is also *correct* under the race.
-TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
+class LiveChurnTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(LiveChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
   const geom::Rect world{0.0, 0.0, 10.0, 10.0};
   Rng rng(777);
   std::vector<Poi> initial = spatial::GenerateUniformPois(&rng, world, 80);
@@ -172,19 +163,18 @@ TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
   params.bucket_capacity = 8;
   core::EngineOptions options;
   options.sbnn.accept_approximate = false;
-  dynamic::WorldVersioner versioner(initial, world, params, options);
-  dynamic::DynamicQueryEngine engine(versioner);
+  dynamic::ShardedWorld versions(initial, world, params, options, GetParam());
+  ASSERT_EQ(versions.num_shards(), GetParam());
 
-  versioner.StartBuilder();
   std::atomic<bool> stop{false};
 
-  // Producer: enqueue randomized batches as fast as the builder drains.
+  // Producer: apply randomized batches back to back.
   std::thread producer([&] {
     Rng prng(778);
     int64_t next_id = 100000;
     for (int batch = 0; batch < 60; ++batch) {
-      const std::shared_ptr<const dynamic::WorldEpoch> snap =
-          versioner.Current();
+      const std::shared_ptr<const dynamic::ShardedEpoch> snap =
+          versions.Current();
       std::vector<PoiUpdate> updates;
       for (int op = 0; op < 4; ++op) {
         PoiUpdate u;
@@ -203,9 +193,8 @@ TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
         }
         updates.push_back(u);
       }
-      versioner.EnqueueBatch(std::move(updates));
+      versions.Apply(std::move(updates));
     }
-    versioner.WaitForEpoch(60);
     stop.store(true);
   });
 
@@ -216,9 +205,10 @@ TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
   for (int t = 0; t < 4; ++t) {
     queriers.emplace_back([&, t] {
       Rng qrng(900 + static_cast<uint64_t>(t));
-      core::QueryWorkspace workspace;
+      core::ShardedQueryWorkspace workspace;
       core::QueryOutcome outcome;
-      while (!stop.load()) {
+      // At least one query per thread, even if the producer finishes first.
+      do {
         core::QueryRequest request;
         if (qrng.NextBool(0.5)) {
           request.kind = core::QueryKind::kKnn;
@@ -231,8 +221,10 @@ TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
                               qrng.Uniform(0.0, 7.0)};
           request.window = {a.x, a.y, a.x + 2.0, a.y + 2.0};
         }
-        const std::shared_ptr<const dynamic::WorldEpoch> pinned =
-            engine.Execute(request, /*peers=*/nullptr, workspace, &outcome);
+        const std::shared_ptr<const dynamic::ShardedEpoch> pinned =
+            versions.Execute(request, /*peers=*/nullptr, workspace,
+                             &outcome);
+        if (outcome.Cacheable().epoch != pinned->id) failures.fetch_add(1);
         if (request.kind == core::QueryKind::kKnn) {
           const auto truth = spatial::BruteForceKnn(
               pinned->pois, request.position, request.k);
@@ -253,18 +245,19 @@ TEST(DynamicWorldChurnTest, QueriesStaySnapshotConsistentUnderLiveChurn) {
           }
         }
         queries_run.fetch_add(1);
-      }
+      } while (!stop.load());
     });
   }
 
   producer.join();
   for (std::thread& q : queriers) q.join();
-  versioner.StopBuilder();
 
-  EXPECT_EQ(versioner.latest_epoch(), 60u);
+  EXPECT_EQ(versions.latest_epoch(), 60u);
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(queries_run.load(), 0);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, LiveChurnTest, ::testing::Values(1, 4));
 
 // --- Simulator determinism with updates enabled ----------------------------
 
@@ -319,6 +312,30 @@ TEST(DynamicWorldChurnTest, UpdatesOffMatchesStaticMetrics) {
   EXPECT_EQ(ms.epochs_published, 0);
   EXPECT_EQ(ms.regions_revalidated, 0);
   EXPECT_EQ(ms.regions_stale_rejected, 0);
+}
+
+// The cache invariant holds against each entry's own epoch snapshot at any
+// shard count, and checking it leaves the run's metrics untouched.
+TEST(DynamicWorldChurnTest, CacheInvariantHoldsUnderShardedChurn) {
+  sim::SimConfig config = ChurnConfig(1);
+  config.shards = 4;
+  sim::ParallelSimulator unchecked(config);
+  const sim::SimMetrics expected = unchecked.Run();
+  config.check_cache_invariant = true;
+  config.check_answers = true;
+  sim::ParallelSimulator t1(config);
+  config.threads = 4;
+  sim::ParallelSimulator t4(config);
+  const sim::SimMetrics m1 = t1.Run();
+  EXPECT_TRUE(m1 == expected);
+  EXPECT_TRUE(t4.Run() == expected);
+  EXPECT_GT(m1.epochs_published, 0);
+  EXPECT_EQ(m1.answer_errors, 0);
+
+  config.threads = 1;
+  config.events_per_epoch = 1;
+  sim::Simulator sequential(config);
+  EXPECT_GT(sequential.Run().epochs_published, 0);
 }
 
 // --- Deterministic update workload -----------------------------------------

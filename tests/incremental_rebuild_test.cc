@@ -9,7 +9,6 @@
 #include "common/rng.h"
 #include "dynamic/sharded_world.h"
 #include "dynamic/update_log.h"
-#include "dynamic/world_versioner.h"
 #include "sim/config.h"
 #include "sim/parallel_simulator.h"
 #include "spatial/generators.h"
@@ -250,21 +249,21 @@ TEST(IncrementalRebuildTest, DeclinesEmptyBaseAndParamsMismatch) {
   EXPECT_EQ(patched->epoch(), 1u);
 }
 
-// The versioner's heuristic fallback: over-threshold churn full-builds and
-// is counted, never silent.
+// The heuristic fallback: over-threshold churn full-builds and is counted,
+// never silent.
 TEST(IncrementalRebuildTest, ChurnThresholdFallbackIsCounted) {
   Rng rng(11);
   std::vector<Poi> pois = spatial::GenerateUniformPois(&rng, kWorld, 60);
-  dynamic::WorldVersioner versioner(pois, kWorld, BroadcastParams{},
-                                    core::EngineOptions{});
+  dynamic::ShardedWorld versions(pois, kWorld, BroadcastParams{},
+                                 core::EngineOptions{}, /*num_shards=*/1);
   dynamic::RebuildPolicy policy;
   policy.full_rebuild_churn_fraction = 0.05;  // 60 POIs -> max 3 net ops
-  versioner.set_rebuild_policy(policy);
+  versions.set_rebuild_policy(policy);
 
   // Two net ops: patched.
-  versioner.Apply({{PoiUpdate::Kind::kMove, pois[0].id, {5.5, 5.5}, {}},
-                   {PoiUpdate::Kind::kDelete, pois[1].id, {}, {}}});
-  dynamic::PublicationStats stats = versioner.publication_stats();
+  versions.Apply({{PoiUpdate::Kind::kMove, pois[0].id, {5.5, 5.5}, {}},
+                  {PoiUpdate::Kind::kDelete, pois[1].id, {}, {}}});
+  dynamic::PublicationStats stats = versions.publication_stats();
   EXPECT_EQ(stats.epochs_patched, 1);
   EXPECT_EQ(stats.full_rebuild_fallbacks, 0);
 
@@ -274,17 +273,17 @@ TEST(IncrementalRebuildTest, ChurnThresholdFallbackIsCounted) {
     big.push_back({PoiUpdate::Kind::kInsert, 5000 + i,
                    geom::Point{0.5 + 0.1 * i, 0.5}, {}});
   }
-  versioner.Apply(std::move(big));
-  stats = versioner.publication_stats();
+  versions.Apply(std::move(big));
+  stats = versions.publication_stats();
   EXPECT_EQ(stats.epochs_published, 2);
   EXPECT_EQ(stats.epochs_patched, 1);
   EXPECT_EQ(stats.full_rebuild_fallbacks, 1);
 
   // force_full publishes full but is not a fallback.
   policy.force_full = true;
-  versioner.set_rebuild_policy(policy);
-  versioner.Apply({{PoiUpdate::Kind::kMove, pois[2].id, {1.0, 9.0}, {}}});
-  stats = versioner.publication_stats();
+  versions.set_rebuild_policy(policy);
+  versions.Apply({{PoiUpdate::Kind::kMove, pois[2].id, {1.0, 9.0}, {}}});
+  stats = versions.publication_stats();
   EXPECT_EQ(stats.epochs_published, 3);
   EXPECT_EQ(stats.epochs_patched, 1);
   EXPECT_EQ(stats.full_rebuild_fallbacks, 1);
@@ -409,9 +408,11 @@ TEST(IncrementalRebuildTest, AnswerDigestsMatchAcrossPathAndThreads) {
   EXPECT_EQ(mi1.answer_digest, mf8.answer_digest);
   EXPECT_GT(mi1.epochs_published, 0);
   // The incremental run actually patched; the forced run never did.
-  EXPECT_GT(inc1.versioner().publication_stats().epochs_patched, 0);
-  EXPECT_EQ(full1.versioner().publication_stats().epochs_patched, 0);
-  EXPECT_EQ(full1.versioner().publication_stats().full_rebuild_fallbacks, 0);
+  const dynamic::ShardedWorld& inc_versions = inc1.world().versions();
+  const dynamic::ShardedWorld& full_versions = full1.world().versions();
+  EXPECT_GT(inc_versions.publication_stats().epochs_patched, 0);
+  EXPECT_EQ(full_versions.publication_stats().epochs_patched, 0);
+  EXPECT_EQ(full_versions.publication_stats().full_rebuild_fallbacks, 0);
 }
 
 }  // namespace

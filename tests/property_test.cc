@@ -17,7 +17,7 @@
 #include "core/query_workspace.h"
 #include "core/sbnn.h"
 #include "core/sbwq.h"
-#include "dynamic/world_versioner.h"
+#include "dynamic/sharded_world.h"
 #include "geom/rect_region.h"
 #include "spatial/generators.h"
 
@@ -463,8 +463,14 @@ TEST(DynamicWorldProperty, PinnedQueriesMatchTheirEpochSnapshot) {
     params.m = static_cast<int>(rng.UniformInt(1, 4));
     core::EngineOptions options;
     options.sbnn.accept_approximate = false;
-    dynamic::WorldVersioner versioner(initial, world, params, options,
-                                      /*retain_history=*/true);
+    // One to four shards: snapshot isolation must not depend on how many
+    // channels a batch republishes.
+    dynamic::ShardedWorld versions(initial, world, params, options,
+                                   1 + config % 4);
+    // Every published epoch, pinned by id: a retained pin keeps its epoch
+    // queryable however many epochs follow.
+    std::vector<std::shared_ptr<const dynamic::ShardedEpoch>> history{
+        versions.Current()};
     int64_t next_id = 1000000;  // disjoint from generated ids
 
     // Cumulative-by-epoch bookkeeping: ids deleted at or before epoch e,
@@ -472,13 +478,13 @@ TEST(DynamicWorldProperty, PinnedQueriesMatchTheirEpochSnapshot) {
     std::vector<std::unordered_set<int64_t>> deleted_by{{}};
     std::vector<std::vector<Poi>> inserted_by{{}};
 
-    core::QueryWorkspace workspace;
+    core::ShardedQueryWorkspace workspace;
     core::QueryOutcome outcome;
     for (int step = 0; step < 20; ++step) {
       ++steps_total;
       if (rng.NextBool(0.4)) {
         // Apply a random update batch -> publish the next epoch.
-        const std::vector<Poi>& live = versioner.Current()->pois;
+        const std::vector<Poi>& live = history.back()->pois;
         std::vector<dynamic::PoiUpdate> batch;
         deleted_by.push_back(deleted_by.back());
         inserted_by.push_back(inserted_by.back());
@@ -506,16 +512,17 @@ TEST(DynamicWorldProperty, PinnedQueriesMatchTheirEpochSnapshot) {
           }
           batch.push_back(u);
         }
-        versioner.Apply(std::move(batch));
-        ASSERT_EQ(versioner.latest_epoch() + 1, deleted_by.size());
+        versions.Apply(std::move(batch));
+        history.push_back(versions.Current());
+        ASSERT_EQ(versions.latest_epoch() + 1, deleted_by.size());
       }
 
       // Pin a (possibly historical) epoch and query it.
       const uint64_t e = static_cast<uint64_t>(
-          rng.UniformInt(0, static_cast<int64_t>(versioner.latest_epoch())));
-      const std::shared_ptr<const dynamic::WorldEpoch> epoch =
-          versioner.EpochAt(e);
-      ASSERT_NE(epoch, nullptr);
+          rng.UniformInt(0, static_cast<int64_t>(versions.latest_epoch())));
+      const std::shared_ptr<const dynamic::ShardedEpoch>& epoch =
+          history[static_cast<size_t>(e)];
+      ASSERT_EQ(epoch->id, e);
 
       core::QueryRequest knn;
       knn.kind = core::QueryKind::kKnn;

@@ -13,10 +13,10 @@
 #include "core/sharded_query_engine.h"
 #include "dynamic/sharded_world.h"
 #include "dynamic/update_log.h"
-#include "dynamic/world_versioner.h"
 #include "geom/rect.h"
 #include "hilbert/partition.h"
 #include "spatial/generators.h"
+#include "storage/system_builder.h"
 
 /// The sharding differential contract:
 ///  - 1 shard: `ShardedQueryEngine` is field-for-field identical to an
@@ -26,10 +26,12 @@
 ///    sets) is bit-identical to the 1-shard answer at any shard count, over
 ///    randomized workloads with peers, seam-straddling windows, and query
 ///    points pinned to shard-boundary cell corners.
-///  - Under churn, `dynamic::ShardedWorld` publishes the same epoch/POI
-///    sequence as the unsharded `WorldVersioner`, rebuilds only dirty
-///    shards (clean shards share their broadcast systems with the previous
-///    epoch), and restamps every outcome with the global pinned epoch.
+///  - Under churn, `dynamic::ShardedWorld` advances its global POI mirror
+///    exactly like `ApplyUpdates` on a plain vector, answers every epoch
+///    like a cold single-channel build of that epoch's POIs, rebuilds only
+///    dirty shards (clean shards share their broadcast systems with the
+///    previous epoch), and restamps every outcome with the global pinned
+///    epoch.
 
 namespace lbsq::core {
 namespace {
@@ -507,34 +509,39 @@ std::vector<dynamic::PoiUpdate> MakeBatch(
   return updates;
 }
 
-TEST(ShardedWorldTest, MatchesUnshardedWorldUnderChurn) {
-  std::vector<spatial::Poi> initial = TestPois(400, /*seed=*/2);
-  dynamic::WorldVersioner versioner(initial, kWorld, TestParams(),
-                                    EngineOptions{});
-  dynamic::ShardedWorld sharded(initial, kWorld, TestParams(),
-                                EngineOptions{}, 4);
+TEST(ShardedWorldTest, MatchesColdBuildOfEachEpochUnderChurn) {
+  std::vector<spatial::Poi> mirror = TestPois(400, /*seed=*/2);
+  dynamic::ShardedWorld sharded(mirror, kWorld, TestParams(), EngineOptions{},
+                                4);
   ASSERT_EQ(sharded.num_shards(), 4);
 
   Rng rng(31);
   int64_t next_insert_id = 400;
+  int64_t applied = 0;
   ShardedQueryWorkspace ws;
   QueryOutcome outcome;
   for (uint64_t epoch = 1; epoch <= 6; ++epoch) {
-    const std::vector<dynamic::PoiUpdate> batch =
+    std::vector<dynamic::PoiUpdate> batch =
         MakeBatch(sharded.Current()->pois, &rng, &next_insert_id);
-    EXPECT_EQ(versioner.Apply(batch), epoch);
     EXPECT_EQ(sharded.Apply(batch), epoch);
-    ASSERT_EQ(sharded.latest_epoch(), versioner.latest_epoch());
+    ASSERT_EQ(sharded.latest_epoch(), epoch);
 
-    // The global mirror advances exactly like the unsharded snapshot:
-    // same merge, same invalid-update filtering, same order.
-    const auto pinned_unsharded = versioner.Current();
+    // The global mirror advances exactly like the plain merge: same
+    // invalid-update filtering, same generation order.
+    applied += dynamic::ApplyUpdates(&batch, &mirror);
     const auto pinned_sharded = sharded.Current();
-    ASSERT_EQ(pinned_sharded->pois, pinned_unsharded->pois);
-    EXPECT_EQ(sharded.updates_applied(), versioner.updates_applied());
+    ASSERT_EQ(pinned_sharded->pois, mirror);
+    EXPECT_EQ(sharded.updates_applied(), applied);
 
-    // Answers on the sharded epoch match the unsharded engine, and every
-    // outcome is restamped with the global pinned epoch.
+    // The reference: a cold single-channel build of the epoch's POIs.
+    broadcast::BroadcastParams epoch_params = TestParams();
+    epoch_params.epoch = epoch;
+    const auto cold_system = storage::SystemBuilder(kWorld, epoch_params)
+                                 .BuildSystemFromPois(pinned_sharded->pois);
+    const QueryEngine cold(*cold_system, kWorld, EngineOptions{});
+
+    // Answers on the sharded epoch match the cold build, and every outcome
+    // is restamped with the global pinned epoch.
     const RequestSet set =
         MakeRequests(pinned_sharded->pois, 30, /*seed=*/500 + epoch);
     for (size_t i = 0; i < set.requests.size(); ++i) {
@@ -549,10 +556,9 @@ TEST(ShardedWorldTest, MatchesUnshardedWorldUnderChurn) {
       EXPECT_EQ(pinned->id, epoch);
       EXPECT_EQ(outcome.Cacheable().epoch, epoch);
 
-      QueryRequest unsharded_request = r;
-      unsharded_request.peers = peers;  // post-revalidation peer state
-      ExpectAnswerEq(pinned_unsharded->engine->Execute(unsharded_request),
-                     outcome);
+      QueryRequest cold_request = r;
+      cold_request.peers = peers;  // post-revalidation peer state
+      ExpectAnswerEq(cold.Execute(cold_request), outcome);
     }
   }
 }

@@ -340,6 +340,14 @@ int main(int argc, char** argv) {
     config.fault.channel.p_good_to_bad =
         burst_frac / (1.0 - burst_frac) / burst_len;
   }
+  if (spec.shards > 1 && config.fault.enabled()) {
+    std::fprintf(stderr,
+                 "fault injection models one channel: --fault-* flags "
+                 "require --shards=1\n");
+    return 2;
+  }
+
+  sim::ParallelSimulator simulator(config);
 
   std::printf("parameter set : %s\n", config.params.name.c_str());
   std::printf("query type    : %s\n",
@@ -380,10 +388,11 @@ int main(int argc, char** argv) {
         config.updates.deletes_per_batch, config.updates.moves_per_batch,
         config.updates.move_radius_mi);
   }
-  if (config.shards > 1) {
+  const dynamic::ShardedWorld& versions = simulator.world().versions();
+  if (versions.num_shards() > 1) {
     std::printf("shards        : %d Hilbert-range broadcast channels "
                 "(latency = max, tuning = sum over queried channels)\n",
-                config.shards);
+                versions.num_shards());
   }
   std::printf("engine        : %d thread%s, %d events/epoch "
               "(metrics independent of thread count)\n\n",
@@ -393,25 +402,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> hist_names;
   if (!ParseHistogramList(hist_value, &hist_names)) return 2;
 
-  sim::ParallelSimulator simulator(config);
-
   obs::TraceSink trace_sink;
   MetricsRegistry registry;
   if (!metrics_path.empty()) {
-    // Sharded deployments size latency buckets by the longest channel's
-    // cycle (the merged latency is a max over queried channels).
-    int64_t cycle = 0;
-    if (config.shards > 1) {
-      const auto epoch = simulator.sharded_world()->Current();
-      for (int s = 0; s < epoch->engine->num_shards(); ++s) {
-        const broadcast::BroadcastSystem* sys = epoch->engine->shard_system(s);
-        if (sys != nullptr) {
-          cycle = std::max(cycle, sys->schedule().cycle_length());
-        }
-      }
-    } else {
-      cycle = simulator.system().schedule().cycle_length();
-    }
+    const int64_t cycle = simulator.world().MaxCycleLength();
     for (const std::string& name : hist_names) {
       RegisterHistogram(&registry, name, cycle);
     }
@@ -494,9 +488,7 @@ int main(int argc, char** argv) {
     std::printf("peer regions revalidated: %lld (%lld rejected stale)\n",
                 static_cast<long long>(m.regions_revalidated),
                 static_cast<long long>(m.regions_stale_rejected));
-    const dynamic::PublicationStats pub =
-        config.shards > 1 ? simulator.sharded_world()->publication_stats()
-                          : simulator.versioner().publication_stats();
+    const dynamic::PublicationStats pub = versions.publication_stats();
     std::printf("epoch publication       : %lld incremental, %lld full "
                 "fallbacks, %lld shard rebuilds\n",
                 static_cast<long long>(pub.epochs_patched),
