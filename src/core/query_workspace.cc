@@ -1,8 +1,41 @@
 #include "core/query_workspace.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/check.h"
 
 namespace lbsq::core {
+
+namespace {
+
+// See CoverEntry::neighbourhood.
+geom::Rect Neighbourhood(const hilbert::HilbertGrid& grid,
+                         const CoverKey& key) {
+  if (key.outside_world) return geom::Rect{};
+  geom::Rect n = Padded(grid.CellRect(hilbert::CellXY{key.x1, key.y1})
+                            .Union(grid.CellRect(
+                                hilbert::CellXY{key.x2, key.y2})));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const uint32_t last = grid.cells_per_axis() - 1;
+  if (key.x1 == 0) n.x1 = -kInf;
+  if (key.y1 == 0) n.y1 = -kInf;
+  if (key.x2 == last) n.x2 = kInf;
+  if (key.y2 == last) n.y2 = kInf;
+  return n;
+}
+
+}  // namespace
+
+geom::Rect Padded(const geom::Rect& rect) {
+  const double scale =
+      std::max({std::abs(rect.x1), std::abs(rect.y1), std::abs(rect.x2),
+                std::abs(rect.y2), rect.width(), rect.height()});
+  const double pad = 1e-9 * scale;
+  return geom::Rect{rect.x1 - pad, rect.y1 - pad, rect.x2 + pad,
+                    rect.y2 + pad};
+}
 
 void QueryWorkspace::Prepare(const broadcast::BroadcastSystem& system,
                              int64_t cycle) {
@@ -40,7 +73,10 @@ CoverEntry& QueryWorkspace::Cover(const broadcast::BroadcastSystem& system,
     key.y2 = hi.y;
   }
   auto [it, inserted] = memo_.try_emplace(key);
-  if (inserted) it->second.ranges = grid.CoverRect(rect);
+  if (inserted) {
+    it->second.ranges = grid.CoverRect(rect);
+    it->second.neighbourhood = Neighbourhood(grid, key);
+  }
   return it->second;
 }
 
@@ -68,8 +104,10 @@ const std::vector<int64_t>& QueryWorkspace::RangeBuckets(
 const std::vector<spatial::Poi>& QueryWorkspace::SpanPois(
     const broadcast::BroadcastSystem& system, CoverEntry* entry) {
   if (!entry->have_span_pois) {
-    system.CollectPois(SpanBuckets(system, entry), &collect_scratch,
-                       &entry->span_pois);
+    const std::vector<int64_t>& span = SpanBuckets(system, entry);
+    BucketsMeeting(system, span, entry->neighbourhood);
+    entry->span_pois_whole = processed.size() == span.size();
+    system.CollectPois(processed, &collect_scratch, &entry->span_pois);
     entry->span_slab.Assign(entry->span_pois.data(), entry->span_pois.size());
     entry->have_span_pois = true;
   }
@@ -79,13 +117,27 @@ const std::vector<spatial::Poi>& QueryWorkspace::SpanPois(
 const std::vector<spatial::Poi>& QueryWorkspace::RangePois(
     const broadcast::BroadcastSystem& system, CoverEntry* entry) {
   if (!entry->have_range_pois) {
-    system.CollectPois(RangeBuckets(system, entry), &collect_scratch,
-                       &entry->range_pois);
+    system.CollectPois(BucketsMeeting(system, RangeBuckets(system, entry),
+                                      entry->neighbourhood),
+                       &collect_scratch, &entry->range_pois);
     entry->range_slab.Assign(entry->range_pois.data(),
                              entry->range_pois.size());
     entry->have_range_pois = true;
   }
   return entry->range_pois;
+}
+
+const std::vector<int64_t>& QueryWorkspace::BucketsMeeting(
+    const broadcast::BroadcastSystem& system, const std::vector<int64_t>& ids,
+    const geom::Rect& reach) {
+  const std::vector<broadcast::DataBucket>& buckets = system.buckets();
+  processed.clear();
+  for (int64_t id : ids) {
+    if (buckets[static_cast<size_t>(id)].mbr.Intersects(reach)) {
+      processed.push_back(id);
+    }
+  }
+  return processed;
 }
 
 int64_t QueryWorkspace::TreeReadBuckets(

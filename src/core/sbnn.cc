@@ -58,6 +58,28 @@ void CacheableFromVerifiedPrefix(geom::Point q, const ResultHeap& heap,
   }
 }
 
+// Merges the peer candidates into the collected bucket content. Both
+// CollectPois and the memoized content are already sorted by id and
+// deduplicated, so the canonicalizing sort is only needed when peer
+// candidates were actually merged in. Returns false when two entries share
+// an id at different positions (a corrupted peer's copy of a known POI):
+// the sort leaves such copies in an order that depends on everything else
+// in `known`, so only the whole received set reproduces it.
+bool MergeCandidates(const std::vector<spatial::PoiDistance>& candidates,
+                     std::vector<spatial::Poi>* known) {
+  if (candidates.empty()) return true;
+  for (const spatial::PoiDistance& c : candidates) known->push_back(c.poi);
+  std::sort(known->begin(), known->end(),
+            [](const spatial::Poi& a, const spatial::Poi& b) {
+              return a.id < b.id;
+            });
+  known->erase(std::unique(known->begin(), known->end()), known->end());
+  return std::adjacent_find(known->begin(), known->end(),
+                            [](const spatial::Poi& a, const spatial::Poi& b) {
+                              return a.id == b.id;
+                            }) == known->end();
+}
+
 }  // namespace
 
 void RunSbnn(geom::Point q, const SbnnOptions& options,
@@ -186,35 +208,48 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   }
 
   // Assemble the exact answer from the downloaded buckets plus everything
-  // the peers supplied (which covers any packets the filter skipped).
+  // the peers supplied (which covers any packets the filter skipped). Only
+  // the received buckets whose MBR meets the search square can hold a POI
+  // within `radius` of q, so those are collected first (or, for a complete
+  // span, the memoized neighbourhood, a superset of them).
+  bool processed_all;
   if (complete_span) {
     const std::vector<spatial::Poi>& memo = ws.SpanPois(system, &cover);
     ws.known_pois.assign(memo.begin(), memo.end());
+    processed_all = cover.span_pois_whole;
   } else {
-    system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
+    const std::vector<int64_t>& processed =
+        ws.BucketsMeeting(system, *retrieved, Padded(search_mbr));
+    processed_all = processed.size() == retrieved->size();
+    system.CollectPois(processed, &ws.collect_scratch, &ws.known_pois);
   }
-  // Both CollectPois and the memoized span content are already sorted by id
-  // and deduplicated, so the canonicalizing sort is only needed when peer
-  // candidates were actually merged in.
-  if (!outcome.nnv.candidates.empty()) {
-    for (const spatial::PoiDistance& c : outcome.nnv.candidates) {
-      ws.known_pois.push_back(c.poi);
-    }
-    std::sort(ws.known_pois.begin(), ws.known_pois.end(),
-              [](const spatial::Poi& a, const spatial::Poi& b) {
-                return a.id < b.id;
-              });
-    ws.known_pois.erase(
-        std::unique(ws.known_pois.begin(), ws.known_pois.end()),
-        ws.known_pois.end());
-  }
+  const bool ids_distinct =
+      MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
   spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
                          &outcome.neighbors);
+  // Certificate: k neighbours within `radius` means every POI of the whole
+  // download that could displace one (distance <= the k-th) was in the
+  // processed set, so the answer equals the full scan's. Otherwise — too few
+  // POIs near q (lost buckets, an index bound unsound for the data) or
+  // conflicting copies of one id — scan everything that was received,
+  // unless that was done.
+  const bool certified =
+      ids_distinct &&
+      outcome.neighbors.size() == static_cast<size_t>(options.k) &&
+      outcome.neighbors.back().distance <= radius;
+  if (!certified && !processed_all) {
+    system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
+    (void)MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
+    spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
+                           &outcome.neighbors);
+    if (trace != nullptr) trace->Counter("sbnn.collect_refills", 1.0);
+  }
 
   // Every cell intersecting the search MBR is covered by a bucket that was
   // either downloaded or skipped-as-peer-known, so the client now has
   // complete knowledge of the MBR. A degraded retrieval breaks that chain:
   // the cacheable region stays empty — never cache unverified knowledge.
+  // Every received POI inside the MBR is in known_pois on either path.
   if (!outcome.degraded) {
     outcome.cacheable.region = search_mbr;
     // BruteForceKnn left ws.slab.slab holding the SoA transpose of

@@ -78,7 +78,7 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
         options.retrieval == onair::WindowRetrieval::kSingleSpan;
     ws.needed.clear();
     // Set when exactly one cover fed `needed`: its lookup is already sorted
-    // and unique, so the memoized bucket content applies verbatim.
+    // and unique, and its memoized index read cost applies verbatim.
     CoverEntry* sole_cover = nullptr;
     if (options.use_window_reduction) {
       for (const geom::Rect& residual : outcome.residual_windows) {
@@ -100,6 +100,12 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
         ws.needed.insert(ws.needed.end(), part.begin(), part.end());
       }
     }
+    // The memoized content is the neighbourhood of the sole cover's key, so
+    // it holds every downloaded POI inside `window` only when that cover is
+    // the window's own: no reduction, or one residual equal to the window.
+    const bool window_cover =
+        sole_cover != nullptr && (!options.use_window_reduction ||
+                                  outcome.residual_windows.front() == window);
     std::sort(ws.needed.begin(), ws.needed.end());
     ws.needed.erase(std::unique(ws.needed.begin(), ws.needed.end()),
                     ws.needed.end());
@@ -140,15 +146,18 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     } else {
       outcome.stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                                  ws.needed, index_mode, trace);
-      complete_cover = sole_cover != nullptr && !sole_cover->ranges.empty();
+      complete_cover = window_cover && !sole_cover->ranges.empty();
     }
     if (trace != nullptr) {
       trace->Span("sbwq.fallback", now, now + outcome.stats.access_latency);
     }
+    // Only the received buckets whose MBR meets the window can hold a POI
+    // inside it (both tests are closed), so only those are processed. The
+    // filter uses the original window, not the residuals, so the result
+    // does not depend on the peers being complete.
     if (complete_cover) {
       // The memoized bucket content carries its own SoA transpose: the
-      // residual-window filter is a single kernel pass, no per-query
-      // transpose.
+      // window filter is a single kernel pass, no per-query transpose.
       const std::vector<spatial::Poi>& memo =
           single_span ? ws.SpanPois(system, sole_cover)
                       : ws.RangePois(system, sole_cover);
@@ -160,7 +169,8 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
           window.x2, window.y2, idx);
       for (size_t j = 0; j < m; ++j) pool.push_back(memo[idx[j]]);
     } else {
-      system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
+      system.CollectPois(ws.BucketsMeeting(system, *retrieved, window),
+                         &ws.collect_scratch, &ws.known_pois);
       const size_t n = ws.known_pois.size();
       ws.slab.slab.Assign(ws.known_pois.data(), n);
       uint32_t* idx = ws.slab.IdxFor(n);
