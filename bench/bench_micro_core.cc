@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "broadcast/system.h"
@@ -302,6 +303,76 @@ void BM_KernelKSelect(benchmark::State& state) {
   state.SetLabel(kernels::TierName(tier));
 }
 BENCHMARK(BM_KernelKSelect)->Arg(0)->Arg(1)->Arg(2);
+
+// --- Air-index reads. Query points and spans are drawn before the timed
+// loop; each iteration answers one of them (cycling), so the reported time
+// is per lookup.
+
+struct AirIndexFixture {
+  std::unique_ptr<broadcast::BroadcastSystem> system;
+  std::vector<geom::Point> queries;
+
+  // Arg 0: the Table 3 LA City database (2,750 uniform POIs, 100 x 100,
+  // order 7). Arg 1: one metro shard (~125k POIs, 60% in 10 downtown
+  // clusters, 14 x 14, order 9), queried near POIs as the metro workload is.
+  explicit AirIndexFixture(int shape) {
+    Rng rng(17);
+    broadcast::BroadcastParams params;
+    geom::Rect world = kWorld;
+    std::vector<spatial::Poi> pois;
+    if (shape == 0) {
+      params.hilbert_order = 7;
+      pois = spatial::GenerateUniformPois(&rng, world, 2750);
+    } else {
+      params.hilbert_order = 9;
+      world = geom::Rect{0.0, 0.0, 14.0, 14.0};
+      pois = spatial::GenerateMetroPois(&rng, world, 125'000, 0.6, 10, 0.5);
+    }
+    system = storage::SystemBuilder(world, params)
+                 .BuildSystemFromPois(pois);
+    for (int i = 0; i < 1024; ++i) {
+      const geom::Point anchor = pois[rng.NextBelow(pois.size())].pos;
+      queries.push_back({anchor.x + rng.Normal(0.0, 0.1),
+                         anchor.y + rng.Normal(0.0, 0.1)});
+    }
+  }
+};
+
+void BM_KthDistanceUpperBound(benchmark::State& state) {
+  const AirIndexFixture fx(static_cast<int>(state.range(0)));
+  const broadcast::AirIndex& index = fx.system->index();
+  std::vector<double> scratch;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.KthDistanceUpperBound(
+        fx.queries[i++ % fx.queries.size()], 5, &scratch));
+  }
+  state.SetLabel(std::to_string(index.entries().size()) + " entries");
+}
+BENCHMARK(BM_KthDistanceUpperBound)->Arg(0)->Arg(1);
+
+// Span lookups 1/256 of the curve wide, as a kNN search square's single
+// span is on the metro shard.
+void BM_BucketsForSpan(benchmark::State& state) {
+  const AirIndexFixture fx(static_cast<int>(state.range(0)));
+  const broadcast::AirIndex& index = fx.system->index();
+  const uint64_t cells = fx.system->grid().num_cells();
+  Rng rng(5);
+  std::vector<uint64_t> starts;
+  for (int i = 0; i < 1024; ++i) starts.push_back(rng.NextBelow(cells));
+  size_t i = 0;
+  int64_t buckets = 0;
+  for (auto _ : state) {
+    const uint64_t lo = starts[i++ % starts.size()];
+    const auto ids = index.BucketsForSpan(lo, lo + cells / 256);
+    buckets += static_cast<int64_t>(ids.size());
+    benchmark::DoNotOptimize(ids.data());
+  }
+  state.counters["buckets_per_lookup"] = benchmark::Counter(
+      static_cast<double>(buckets), benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::to_string(index.bucket_ranges().size()) + " buckets");
+}
+BENCHMARK(BM_BucketsForSpan)->Arg(0)->Arg(1);
 
 // Ablation: single-span vs partitioned window retrieval volumes.
 void BM_WindowRetrieval(benchmark::State& state) {

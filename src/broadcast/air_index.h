@@ -46,7 +46,7 @@ class AirIndex {
   const std::vector<Entry>& entries() const { return entries_; }
 
   /// Per bucket: the covered curve range [hilbert_lo, hilbert_hi],
-  /// ascending by bucket id.
+  /// ascending by bucket id (both ends non-decreasing).
   const std::vector<hilbert::IndexRange>& bucket_ranges() const {
     return bucket_ranges_;
   }
@@ -66,6 +66,17 @@ class AirIndex {
   /// plus half a cell diagonal. This is how the on-air kNN derives its
   /// search circle before any data bucket arrives. Returns +infinity when
   /// the index holds fewer than k entries.
+  ///
+  /// Cost: output-sensitive. The entries of one aligned curve block (a
+  /// quadtree node of the grid) are one contiguous run of entries(), so the
+  /// bound reads at most 3 x 3 such blocks around `q` — sized first from the
+  /// uniform-density guess sqrt(k * area / N), doubled until they hold k
+  /// entries, then once more from that k-th distance — with two binary
+  /// searches per block and one distance pass over the entries read. That
+  /// is O(log N) per doubling plus O(m) for the m entries in the blocks,
+  /// instead of a pass over all N. The value is bit-identical to the
+  /// k-th smallest of a full distance pass over every entry. `q` must be
+  /// finite (LBSQ_CHECK), as QueryRequest::Validate requires.
   double KthDistanceUpperBound(geom::Point q, int k) const;
 
   /// KthDistanceUpperBound using `*scratch` for the distance selection
@@ -74,11 +85,15 @@ class AirIndex {
                                std::vector<double>* scratch) const;
 
   /// Ids of the buckets whose Hilbert range intersects [lo, hi], ascending.
+  /// Bucket ranges are non-decreasing in both ends (checked at
+  /// construction), so the answer is one contiguous id run found by binary
+  /// search: O(log B + answer) for B buckets.
   std::vector<int64_t> BucketsForSpan(uint64_t lo, uint64_t hi) const;
 
   /// Ids of the buckets whose Hilbert range intersects any of `ranges`
-  /// (sorted ascending ranges as produced by HilbertGrid::CoverRect).
-  /// Deduplicated, ascending.
+  /// (ranges with ascending starts, as produced by HilbertGrid::CoverRect;
+  /// checked). Deduplicated, ascending. One BucketsForSpan run per range:
+  /// O(ranges * log B + answer).
   std::vector<int64_t> BucketsForRanges(
       const std::vector<hilbert::IndexRange>& ranges) const;
 
@@ -86,11 +101,12 @@ class AirIndex {
   const hilbert::HilbertGrid* grid_;
   int entries_per_bucket_;
   std::vector<Entry> entries_;
-  // Per bucket: [hilbert_lo, hilbert_hi], ascending by bucket id.
+  // Per bucket: [hilbert_lo, hilbert_hi], ascending by bucket id; both ends
+  // are non-decreasing.
   std::vector<hilbert::IndexRange> bucket_ranges_;
   // Entry cell centers, transposed entry-for-entry into SoA columns at build
-  // time so KthDistanceUpperBound is one distance-batch kernel pass instead
-  // of a Hilbert decode per entry per query.
+  // time so KthDistanceUpperBound runs distance-batch kernel passes over
+  // entry runs instead of a Hilbert decode per entry per query.
   std::vector<double> center_xs_;
   std::vector<double> center_ys_;
   double half_cell_diagonal_ = 0.0;

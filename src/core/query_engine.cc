@@ -1,5 +1,6 @@
 #include "core/query_engine.h"
 
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -15,11 +16,14 @@ void QueryRequest::Validate() const {
   if (kind == QueryKind::kKnn) {
     // A set window on a kNN request would be silently ignored — reject it.
     LBSQ_CHECK(window.empty());
+    LBSQ_CHECK(std::isfinite(position.x) && std::isfinite(position.y));
   } else {
     // k (and the query position) belong to kNN; a window request carrying
     // them is malformed.
     LBSQ_CHECK(k == 0);
     LBSQ_CHECK(!window.empty());
+    LBSQ_CHECK(std::isfinite(window.x1) && std::isfinite(window.y1) &&
+               std::isfinite(window.x2) && std::isfinite(window.y2));
   }
 }
 

@@ -78,7 +78,8 @@ struct QueryRequest {
   /// Kind-safety: aborts (LBSQ_CHECK) when the fields of the *other* query
   /// kind are set — a window on a kKnn request, or k / a position-dependent
   /// field on a kWindow request — so a malformed request fails loudly
-  /// instead of having half its parameters silently ignored. Every
+  /// instead of having half its parameters silently ignored. Also aborts
+  /// on a NaN or infinite kNN position or window coordinate. Every
   /// Execute / ExecuteBatch call validates its request(s).
   void Validate() const;
 };

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "broadcast/wire.h"
@@ -197,12 +198,20 @@ bool DecodeQueryCall(std::span<const uint8_t> payload, QueryCall* out) {
     out->position.y = reader.GetDouble();
     const uint64_t k = reader.GetVarint();
     if (k > INT32_MAX) return false;
+    // A NaN or infinite position has no nearest neighbours to look for.
+    if (!std::isfinite(out->position.x) || !std::isfinite(out->position.y)) {
+      return false;
+    }
     out->k = static_cast<int>(k);
     out->window = geom::Rect();
   } else {
     out->kind = core::QueryKind::kWindow;
     out->window = GetRect(&reader);
-    if (out->window.empty()) return false;
+    const geom::Rect& w = out->window;
+    if (!std::isfinite(w.x1) || !std::isfinite(w.y1) ||
+        !std::isfinite(w.x2) || !std::isfinite(w.y2) || w.empty()) {
+      return false;
+    }
     out->position = geom::Point();
     out->k = 0;
   }

@@ -137,7 +137,9 @@ struct BucketGet {
 
 /// QUERY: one location-based query. `request_id` is echoed on the answer
 /// (and on RETRY_AFTER) so a pipelining client can match replies that
-/// arrive out of order across workers.
+/// arrive out of order across workers. DecodeQueryCall rejects a NaN or
+/// infinite position or window coordinate (the client gets
+/// kMalformedPayload), so no such value reaches the engine.
 struct QueryCall {
   uint64_t request_id = 0;
   core::QueryKind kind = core::QueryKind::kKnn;

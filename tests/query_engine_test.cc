@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -152,6 +153,24 @@ TEST(QueryEngineTest, ValidateRejectsBadOptions) {
   EngineOptions bad_prefetch;
   bad_prefetch.sbnn.prefetch_radius_factor = 0.5;
   EXPECT_DEATH(QueryEngine(*f.system, kWorld, bad_prefetch), "LBSQ_CHECK");
+}
+
+TEST(QueryEngineTest, ValidateRejectsNonFiniteRequests) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  QueryRequest knn;
+  knn.kind = QueryKind::kKnn;
+  knn.position = {kNan, 1.0};
+  EXPECT_DEATH(knn.Validate(), "LBSQ_CHECK");
+  knn.position = {1.0, -kInf};
+  EXPECT_DEATH(knn.Validate(), "LBSQ_CHECK");
+
+  QueryRequest window;
+  window.kind = QueryKind::kWindow;
+  window.window = geom::Rect{1.0, 1.0, kInf, 2.0};
+  EXPECT_DEATH(window.Validate(), "LBSQ_CHECK");
+  window.window = geom::Rect{-kInf, 1.0, 2.0, 2.0};
+  EXPECT_DEATH(window.Validate(), "LBSQ_CHECK");
 }
 
 TEST(QueryEngineTest, TraceRecordsBroadcastSpans) {

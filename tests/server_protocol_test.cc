@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -264,6 +265,53 @@ TEST(ProtocolTest, DecodersRejectTruncationAndTrailingBytes) {
   std::vector<uint8_t> padded = good;
   padded.push_back(0);
   EXPECT_FALSE(DecodeQueryCall(padded, &out));
+}
+
+TEST(ProtocolTest, QueryDecoderRejectsNonFiniteCoordinates) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  QueryCall out;
+  for (const double bad : {kNan, kInf, -kInf}) {
+    QueryCall knn;
+    knn.kind = core::QueryKind::kKnn;
+    knn.k = 3;
+    knn.position = {bad, 1.0};
+    EXPECT_FALSE(DecodeQueryCall(EncodeQueryCall(knn), &out)) << bad;
+    knn.position = {1.0, bad};
+    EXPECT_FALSE(DecodeQueryCall(EncodeQueryCall(knn), &out)) << bad;
+
+    // Each window coordinate in turn; an infinite window would otherwise
+    // be non-empty and pass the emptiness check.
+    for (int corner = 0; corner < 4; ++corner) {
+      QueryCall window;
+      window.kind = core::QueryKind::kWindow;
+      window.window = geom::Rect{1.0, 1.0, 2.0, 2.0};
+      double* coords[] = {&window.window.x1, &window.window.y1,
+                          &window.window.x2, &window.window.y2};
+      *coords[corner] = bad;
+      EXPECT_FALSE(DecodeQueryCall(EncodeQueryCall(window), &out))
+          << bad << " at corner " << corner;
+    }
+  }
+}
+
+TEST(SessionTest, NonFiniteQueryIsMalformedPayload) {
+  SessionHarness harness;
+  harness.Handshake();
+  QueryCall call;
+  call.kind = core::QueryKind::kKnn;
+  call.position = {std::numeric_limits<double>::quiet_NaN(), 5.0};
+  call.k = 3;
+  FrameResult result;
+  const std::vector<Frame> replies =
+      harness.Send(FrameType::kQuery, EncodeQueryCall(call), &result);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].type, FrameType::kError);
+  ErrorReply error;
+  ASSERT_TRUE(DecodeErrorReply(replies[0].payload, &error));
+  EXPECT_EQ(error.code, ErrorCode::kMalformedPayload);
+  EXPECT_TRUE(result.close);
+  EXPECT_TRUE(result.queries.empty());
 }
 
 TEST(ProtocolTest, DecodersSurviveGarbage) {

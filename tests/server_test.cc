@@ -6,6 +6,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,6 +189,50 @@ TEST(ServerTest, MidSessionDisconnectIsSurvived) {
   ASSERT_EQ(client.Receive(&answer, &retry, &error), Client::Reply::kAnswer)
       << error;
   EXPECT_EQ(answer.request_id, 1u);
+  EXPECT_EQ(answer.neighbor_ids.size(), 3u);
+  client.Close();
+  server.Stop();
+}
+
+TEST(ServerTest, NonFiniteQueryIsRejectedOverTheWire) {
+  const sim::SimConfig config = TestConfig();
+  const core::ShardedQueryEngine engine = BuildEngine(config);
+  Server server(engine, /*epoch=*/0, ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  // Neither call may reach the engine: a NaN position has no neighbours to
+  // find, and an infinite window would feed float-to-int casts in the cover.
+  QueryCall knn;
+  knn.request_id = 1;
+  knn.kind = core::QueryKind::kKnn;
+  knn.position = {std::numeric_limits<double>::quiet_NaN(), 1.0};
+  knn.k = 3;
+  QueryCall window;
+  window.request_id = 2;
+  window.kind = core::QueryKind::kWindow;
+  window.window = geom::Rect{0.5, 0.5, std::numeric_limits<double>::infinity(),
+                             1.0};
+  for (const QueryCall& call : {knn, window}) {
+    Client client;
+    ASSERT_TRUE(client.Connect(server.port(), 1, 2, &error)) << error;
+    ASSERT_TRUE(client.SendQuery(call, &error)) << error;
+    QueryAnswer answer;
+    RetryAfter retry;
+    EXPECT_EQ(client.Receive(&answer, &retry, &error), Client::Reply::kError);
+    EXPECT_NE(error.find("malformed QUERY"), std::string::npos) << error;
+  }
+  EXPECT_GE(server.counters().protocol_errors.load(), 2);
+
+  // The listener keeps serving well-formed queries.
+  Client client;
+  ASSERT_TRUE(client.Connect(server.port(), 1, 2, &error)) << error;
+  knn.position = {1.0, 1.0};
+  ASSERT_TRUE(client.SendQuery(knn, &error)) << error;
+  QueryAnswer answer;
+  RetryAfter retry;
+  ASSERT_EQ(client.Receive(&answer, &retry, &error), Client::Reply::kAnswer)
+      << error;
   EXPECT_EQ(answer.neighbor_ids.size(), 3u);
   client.Close();
   server.Stop();
