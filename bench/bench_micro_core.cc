@@ -20,8 +20,6 @@
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
 #include "storage/system_builder.h"
-#include "spatial/quadtree.h"
-#include "spatial/rstar_tree.h"
 #include "spatial/rtree.h"
 
 namespace {
@@ -94,58 +92,6 @@ void BM_RTreeKnnDepthFirst(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RTreeKnnDepthFirst)->Arg(1)->Arg(10)->Arg(100);
-
-// Ablation: the same kNN on the three index structures.
-void BM_RStarKnn(benchmark::State& state) {
-  Rng rng(4);
-  spatial::RStarTree tree;
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(tree.Knn(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_RStarKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_QuadTreeKnn(benchmark::State& state) {
-  Rng rng(4);
-  spatial::QuadTree tree(kWorld, 8);
-  tree.InsertAll(spatial::GenerateUniformPois(&rng, kWorld, 20000));
-  for (auto _ : state) {
-    const geom::Point q{rng.Uniform(0.0, 100.0), rng.Uniform(0.0, 100.0)};
-    benchmark::DoNotOptimize(tree.Knn(q, static_cast<int>(state.range(0))));
-  }
-}
-BENCHMARK(BM_QuadTreeKnn)->Arg(1)->Arg(10)->Arg(100);
-
-void BM_WindowQueryByIndex(benchmark::State& state) {
-  Rng rng(9);
-  const auto pois = spatial::GenerateUniformPois(&rng, kWorld, 20000);
-  spatial::RTree rtree;
-  spatial::RStarTree rstar;
-  spatial::QuadTree quad(kWorld, 8);
-  rtree.InsertAll(pois);
-  rstar.InsertAll(pois);
-  quad.InsertAll(pois);
-  const int which = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    const geom::Point a{rng.Uniform(0.0, 90.0), rng.Uniform(0.0, 90.0)};
-    const geom::Rect window{a.x, a.y, a.x + 10.0, a.y + 10.0};
-    switch (which) {
-      case 0:
-        benchmark::DoNotOptimize(rtree.WindowQuery(window));
-        break;
-      case 1:
-        benchmark::DoNotOptimize(rstar.WindowQuery(window));
-        break;
-      default:
-        benchmark::DoNotOptimize(quad.WindowQuery(window));
-        break;
-    }
-  }
-  state.SetLabel(which == 0 ? "guttman" : which == 1 ? "rstar" : "quadtree");
-}
-BENCHMARK(BM_WindowQueryByIndex)->Arg(0)->Arg(1)->Arg(2);
 
 // Wire-format throughput.
 void BM_WireBucketRoundTrip(benchmark::State& state) {

@@ -3,14 +3,17 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "broadcast/system.h"
 #include "common/observability.h"
+#include "core/query_result.h"
 #include "core/query_workspace.h"
 #include "core/sbnn.h"
 #include "core/sbwq.h"
 #include "core/verified_region.h"
+#include "fault/faulty_channel.h"
 #include "geom/point.h"
 #include "geom/rect.h"
 
@@ -21,10 +24,6 @@
 /// outcomes: every external consumer goes through `QueryEngine::Execute` /
 /// `ExecuteBatch` instead. Not part of the library API — only the engine
 /// (and its white-box tests) may include this header.
-
-namespace lbsq::fault {
-class ChannelSession;
-}  // namespace lbsq::fault
 
 namespace lbsq::core::internal {
 
@@ -44,6 +43,36 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
              const broadcast::BroadcastSystem& system, int64_t now,
              obs::TraceRecorder* trace, fault::ChannelSession* faults,
              QueryWorkspace& workspace, SbwqOutcome* outcome);
+
+/// The broadcast download both algorithms end with: records `ws.needed` as
+/// the query's buckets and retrieves them at `now` under `index_mode` —
+/// through `faults` when it enables the channel — filling `common`'s stats,
+/// fault accounting, `degraded` and `failed_buckets`. Returns the ids
+/// actually received: `ws.needed` itself on a clean channel.
+inline const std::vector<int64_t>& RetrieveNeeded(
+    const broadcast::BroadcastSystem& system, int64_t now,
+    broadcast::IndexReadMode index_mode, obs::TraceRecorder* trace,
+    fault::ChannelSession* faults, QueryWorkspace& ws,
+    QueryResultCommon* common) {
+  common->buckets.assign(ws.needed.begin(), ws.needed.end());
+  if (faults == nullptr || !faults->channel_enabled()) {
+    common->stats = broadcast::RetrieveBuckets(system.schedule(), now,
+                                               ws.needed, index_mode, trace);
+    return ws.needed;
+  }
+  fault::FaultyRetrievalResult r =
+      faults->Retrieve(system.schedule(), now, ws.needed, index_mode, trace);
+  common->stats = r.stats;
+  common->fault_losses = r.losses;
+  common->fault_corruptions = r.corruptions;
+  common->fault_deadline_hit = r.deadline_hit;
+  if (!r.complete()) {
+    common->degraded = true;
+    common->failed_buckets = std::move(r.failed);
+  }
+  ws.retrieved = std::move(r.received);
+  return ws.retrieved;
+}
 
 }  // namespace lbsq::core::internal
 

@@ -2,31 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/check.h"
 
 namespace lbsq::core {
-
-namespace {
-
-// See CoverEntry::neighbourhood.
-geom::Rect Neighbourhood(const hilbert::HilbertGrid& grid,
-                         const CoverKey& key) {
-  if (key.outside_world) return geom::Rect{};
-  geom::Rect n = Padded(grid.CellRect(hilbert::CellXY{key.x1, key.y1})
-                            .Union(grid.CellRect(
-                                hilbert::CellXY{key.x2, key.y2})));
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const uint32_t last = grid.cells_per_axis() - 1;
-  if (key.x1 == 0) n.x1 = -kInf;
-  if (key.y1 == 0) n.y1 = -kInf;
-  if (key.x2 == last) n.x2 = kInf;
-  if (key.y2 == last) n.y2 = kInf;
-  return n;
-}
-
-}  // namespace
 
 geom::Rect Padded(const geom::Rect& rect) {
   const double scale =
@@ -73,10 +52,7 @@ CoverEntry& QueryWorkspace::Cover(const broadcast::BroadcastSystem& system,
     key.y2 = hi.y;
   }
   auto [it, inserted] = memo_.try_emplace(key);
-  if (inserted) {
-    it->second.ranges = grid.CoverRect(rect);
-    it->second.neighbourhood = Neighbourhood(grid, key);
-  }
+  if (inserted) it->second.ranges = grid.CoverRect(rect);
   return it->second;
 }
 
@@ -101,32 +77,6 @@ const std::vector<int64_t>& QueryWorkspace::RangeBuckets(
   return entry->range_buckets;
 }
 
-const std::vector<spatial::Poi>& QueryWorkspace::SpanPois(
-    const broadcast::BroadcastSystem& system, CoverEntry* entry) {
-  if (!entry->have_span_pois) {
-    const std::vector<int64_t>& span = SpanBuckets(system, entry);
-    BucketsMeeting(system, span, entry->neighbourhood);
-    entry->span_pois_whole = processed.size() == span.size();
-    system.CollectPois(processed, &collect_scratch, &entry->span_pois);
-    entry->span_slab.Assign(entry->span_pois.data(), entry->span_pois.size());
-    entry->have_span_pois = true;
-  }
-  return entry->span_pois;
-}
-
-const std::vector<spatial::Poi>& QueryWorkspace::RangePois(
-    const broadcast::BroadcastSystem& system, CoverEntry* entry) {
-  if (!entry->have_range_pois) {
-    system.CollectPois(BucketsMeeting(system, RangeBuckets(system, entry),
-                                      entry->neighbourhood),
-                       &collect_scratch, &entry->range_pois);
-    entry->range_slab.Assign(entry->range_pois.data(),
-                             entry->range_pois.size());
-    entry->have_range_pois = true;
-  }
-  return entry->range_pois;
-}
-
 const std::vector<int64_t>& QueryWorkspace::BucketsMeeting(
     const broadcast::BroadcastSystem& system, const std::vector<int64_t>& ids,
     const geom::Rect& reach) {
@@ -138,14 +88,6 @@ const std::vector<int64_t>& QueryWorkspace::BucketsMeeting(
     }
   }
   return processed;
-}
-
-int64_t QueryWorkspace::TreeReadBuckets(
-    const broadcast::BroadcastSystem& system, CoverEntry* entry) {
-  if (entry->tree_read_buckets < 0) {
-    entry->tree_read_buckets = system.IndexReadBuckets(entry->ranges);
-  }
-  return entry->tree_read_buckets;
 }
 
 }  // namespace lbsq::core

@@ -20,20 +20,20 @@
 /// every transient buffer SBNN/SBWQ/NNV need (candidate pools, bucket id
 /// sets, cover ranges, the merged-POI sort arena) plus a broadcast-cycle-
 /// scoped memo of `HilbertGrid::CoverRect` covers and the `AirIndex` bucket
-/// lookups derived from them, so steady-state execution through
+/// lookups derived from them. Once capacities are warm, execution through
 /// `QueryEngine::Execute(request, workspace, outcome)` / `ExecuteBatch`
-/// performs zero heap allocations and co-located queries within one cycle
-/// share their index work (the BRkNN-style batching win: Manhattan-mobility
-/// hosts clustered on the same street issue near-identical queries).
+/// performs zero heap allocations for a request whose cover key the memo
+/// already holds, and skips that cover and its lookups; a new key costs a
+/// memo entry. Served traffic rarely repeats a cover key (EXPERIMENTS.md,
+/// "Batched zero-allocation execution"); the batch-throughput gate replays
+/// one batch, so it measures the repeat.
 ///
-/// What a query downloads and what it processes are different sets. The
-/// download set is the whole Hilbert span (or ranges) of the cover, which on
-/// clustered data can be thousands of buckets for a search square that meets
-/// a few dozen cells. Only the downloaded buckets whose MBR meets the query's
-/// rectangle can contribute to the answer, so the engine collects just those
-/// (`BucketsMeeting`), and the memo keeps just the neighbourhood of a key —
-/// the span/range buckets whose MBR meets the key's two corner cells — not
-/// the content of the whole span.
+/// The memo holds index work only, never POIs. What a query downloads and
+/// what it processes are different sets: the download is the whole Hilbert
+/// span (or ranges) of the cover, but only the downloaded buckets whose MBR
+/// meets the query's rectangle can contribute to the answer, so each query
+/// collects just those (`BucketsMeeting`, then
+/// `BroadcastSystem::CollectPois`).
 ///
 /// A workspace is NOT thread-safe: give each worker thread its own. Results
 /// are bitwise identical to workspace-free execution — every memoized value
@@ -76,43 +76,18 @@ struct CoverKeyHash {
   }
 };
 
-/// Everything memoized for one cover key, filled lazily: the cover ranges
-/// and the neighbourhood eagerly, the bucket lookups and the collected
-/// bucket content on first use. All values are pure functions of the key
+/// Everything memoized for one cover key: the cover ranges eagerly, the
+/// bucket lookups on first use. All values are pure functions of the key
 /// and the immutable broadcast system.
 struct CoverEntry {
   std::vector<hilbert::IndexRange> ranges;
-  /// The rectangle every query rectangle with this key lies in:
-  /// CellRect(lo) ∪ CellRect(hi) of the key's corner cells, padded (see
-  /// `Padded`), and unbounded on each side where a corner cell sits on the
-  /// world border (points beyond the border clamp into border cells).
-  geom::Rect neighbourhood;
   /// BucketsForSpan(ranges.front().lo, ranges.back().hi) (single-span
   /// retrieval, the SBNN fallback and the default SBWQ strategy).
   std::vector<int64_t> span_buckets;
   /// BucketsForRanges(ranges) (partitioned-ranges retrieval).
   std::vector<int64_t> range_buckets;
-  /// The neighbourhood of the key, not the whole download:
-  /// CollectPois over the span_buckets / range_buckets whose MBR meets
-  /// `neighbourhood`. A superset of every downloaded POI a query with this
-  /// key can use, and usually a small fraction of the span.
-  std::vector<spatial::Poi> span_pois;
-  std::vector<spatial::Poi> range_pois;
-  /// SoA transposes of span_pois / range_pois, built alongside them: the
-  /// SBWQ window filter streams the memoized bucket content through the
-  /// SIMD window-mask kernel without a per-query transpose.
-  kernels::PoiSlab span_slab;
-  kernels::PoiSlab range_slab;
-  /// IndexReadBuckets(ranges) under a hierarchical air index (-1 = not yet
-  /// computed).
-  int64_t tree_read_buckets = -1;
   bool have_span = false;
   bool have_ranges = false;
-  bool have_span_pois = false;
-  bool have_range_pois = false;
-  /// True when span_pois is the content of every span bucket (none was
-  /// outside the neighbourhood).
-  bool span_pois_whole = false;
 };
 
 /// `rect` grown on every side by 1e-9 of its largest coordinate magnitude or
@@ -157,23 +132,11 @@ class QueryWorkspace {
   const std::vector<int64_t>& RangeBuckets(
       const broadcast::BroadcastSystem& system, CoverEntry* entry);
 
-  /// Memoized neighbourhood content of the span / ranges lookup (see
-  /// `CoverEntry::span_pois`; sorted by id and deduplicated, like
-  /// `BroadcastSystem::CollectPois`). Clobbers `processed`.
-  const std::vector<spatial::Poi>& SpanPois(
-      const broadcast::BroadcastSystem& system, CoverEntry* entry);
-  const std::vector<spatial::Poi>& RangePois(
-      const broadcast::BroadcastSystem& system, CoverEntry* entry);
-
   /// The ids of `ids` whose bucket MBR meets `reach`, in order, written to
   /// `processed`: the part of a download the answer can touch.
   const std::vector<int64_t>& BucketsMeeting(
       const broadcast::BroadcastSystem& system,
       const std::vector<int64_t>& ids, const geom::Rect& reach);
-
-  /// Memoized `IndexReadBuckets(ranges)` (hierarchical-index read cost).
-  int64_t TreeReadBuckets(const broadcast::BroadcastSystem& system,
-                          CoverEntry* entry);
 
   /// Distinct covers currently memoized (observability / tests).
   size_t memo_size() const { return memo_.size(); }
@@ -196,10 +159,10 @@ class QueryWorkspace {
   std::vector<int64_t> kept;
   /// Buckets actually received on the faulty-channel path.
   std::vector<int64_t> retrieved;
-  /// The received buckets a query (or a memo fill) processes: those whose
-  /// MBR meets its rectangle (see BucketsMeeting).
+  /// The received buckets a query processes: those whose MBR meets its
+  /// rectangle (see BucketsMeeting).
   std::vector<int64_t> processed;
-  /// Curve-interval lookups for multi-residual tree-index reads.
+  /// The covers' curve ranges one SBWQ tree-index read looks up.
   std::vector<hilbert::IndexRange> lookups;
   /// Peer snapshot surviving the defensive screen.
   std::vector<PeerData> screened;

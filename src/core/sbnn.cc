@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "core/query_internal.h"
-#include "fault/faulty_channel.h"
 #include "geom/circle.h"
 #include "kernels/kernels.h"
 #include "onair/onair_knn.h"
@@ -58,13 +57,13 @@ void CacheableFromVerifiedPrefix(geom::Point q, const ResultHeap& heap,
   }
 }
 
-// Merges the peer candidates into the collected bucket content. Both
-// CollectPois and the memoized content are already sorted by id and
-// deduplicated, so the canonicalizing sort is only needed when peer
-// candidates were actually merged in. Returns false when two entries share
-// an id at different positions (a corrupted peer's copy of a known POI):
-// the sort leaves such copies in an order that depends on everything else
-// in `known`, so only the whole received set reproduces it.
+// Merges the peer candidates into the collected bucket content. CollectPois
+// output is already sorted by id and deduplicated, so the canonicalizing
+// sort is only needed when peer candidates were actually merged in. Returns
+// false when two entries share an id at different positions (a corrupted
+// peer's copy of a known POI): the sort leaves such copies in an order that
+// depends on everything else in `known`, so only the whole received set
+// reproduces it.
 bool MergeCandidates(const std::vector<spatial::PoiDistance>& candidates,
                      std::vector<spatial::Poi>* known) {
   if (candidates.empty()) return true;
@@ -143,8 +142,7 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   radius *= options.prefetch_radius_factor;
 
   // Same bucket set onair::BucketsForCircle computes, but the cover and the
-  // span lookup come from the cycle memo: co-located queries whose search
-  // MBRs clamp to the same grid cells share the work.
+  // span lookup come from the cycle memo.
   const geom::Rect search_mbr = geom::Circle{q, radius}.Mbr();
   CoverEntry& cover = ws.Cover(system, search_mbr);
   ws.needed.clear();
@@ -172,35 +170,14 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
     ws.needed.swap(ws.kept);
   }
 
-  outcome.buckets.assign(ws.needed.begin(), ws.needed.end());
   broadcast::IndexReadMode index_mode =
       broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
-    index_mode =
-        broadcast::IndexReadMode::TreePaths(ws.TreeReadBuckets(system, &cover));
+    index_mode = broadcast::IndexReadMode::TreePaths(
+        system.IndexReadBuckets(cover.ranges));
   }
-  const std::vector<int64_t>* retrieved = &ws.needed;
-  bool complete_span = false;
-  if (faults != nullptr && faults->channel_enabled()) {
-    fault::FaultyRetrievalResult r =
-        faults->Retrieve(system.schedule(), now, ws.needed, index_mode, trace);
-    outcome.stats = r.stats;
-    outcome.fault_losses = r.losses;
-    outcome.fault_corruptions = r.corruptions;
-    outcome.fault_deadline_hit = r.deadline_hit;
-    if (!r.complete()) {
-      outcome.degraded = true;
-      outcome.failed_buckets = std::move(r.failed);
-    }
-    ws.retrieved = std::move(r.received);
-    retrieved = &ws.retrieved;
-  } else {
-    outcome.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                               ws.needed, index_mode, trace);
-    // With no filter removals the retrieved set IS the memoized span, so
-    // its collected content can come from the memo too.
-    complete_span = outcome.buckets_skipped == 0 && !cover.ranges.empty();
-  }
+  const std::vector<int64_t>& retrieved =
+      RetrieveNeeded(system, now, index_mode, trace, faults, ws, &outcome);
   if (trace != nullptr) {
     trace->Span("sbnn.fallback", now, now + outcome.stats.access_latency);
     trace->Counter("sbnn.buckets_skipped",
@@ -210,19 +187,11 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   // Assemble the exact answer from the downloaded buckets plus everything
   // the peers supplied (which covers any packets the filter skipped). Only
   // the received buckets whose MBR meets the search square can hold a POI
-  // within `radius` of q, so those are collected first (or, for a complete
-  // span, the memoized neighbourhood, a superset of them).
-  bool processed_all;
-  if (complete_span) {
-    const std::vector<spatial::Poi>& memo = ws.SpanPois(system, &cover);
-    ws.known_pois.assign(memo.begin(), memo.end());
-    processed_all = cover.span_pois_whole;
-  } else {
-    const std::vector<int64_t>& processed =
-        ws.BucketsMeeting(system, *retrieved, Padded(search_mbr));
-    processed_all = processed.size() == retrieved->size();
-    system.CollectPois(processed, &ws.collect_scratch, &ws.known_pois);
-  }
+  // within `radius` of q, so those are collected first.
+  const std::vector<int64_t>& processed =
+      ws.BucketsMeeting(system, retrieved, Padded(search_mbr));
+  const bool processed_all = processed.size() == retrieved.size();
+  system.CollectPois(processed, &ws.collect_scratch, &ws.known_pois);
   const bool ids_distinct =
       MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
   spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
@@ -238,7 +207,7 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
       outcome.neighbors.size() == static_cast<size_t>(options.k) &&
       outcome.neighbors.back().distance <= radius;
   if (!certified && !processed_all) {
-    system.CollectPois(*retrieved, &ws.collect_scratch, &ws.known_pois);
+    system.CollectPois(retrieved, &ws.collect_scratch, &ws.known_pois);
     (void)MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
     spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
                            &outcome.neighbors);

@@ -1,11 +1,10 @@
 #include "core/sbwq.h"
 
 #include <algorithm>
-#include <utility>
+#include <span>
 
 #include "common/check.h"
 #include "core/query_internal.h"
-#include "fault/faulty_channel.h"
 #include "kernels/kernels.h"
 
 namespace lbsq::core {
@@ -44,10 +43,9 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
       for (size_t j = 0; j < m; ++j) pool.push_back(vr.pois[idx[j]]);
     }
   }
-  // Everything pooled from here on comes from CollectPois or the cycle memo
-  // — already sorted by id and deduplicated, with selections preserving that
-  // order — so the canonicalizing sort below is only needed when the peers
-  // contributed.
+  // Everything pooled from here on comes from CollectPois — already sorted
+  // by id and deduplicated, with the selection preserving that order — so
+  // the canonicalizing sort below is only needed when the peers contributed.
   const size_t peer_pool_size = pool.size();
 
   // Residual windows w' = w \ MVR.
@@ -76,78 +74,37 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     // lookups derived from them come from the cycle memo.
     const bool single_span =
         options.retrieval == onair::WindowRetrieval::kSingleSpan;
+    const std::span<const geom::Rect> solved =
+        options.use_window_reduction
+            ? std::span<const geom::Rect>(outcome.residual_windows)
+            : std::span<const geom::Rect>(&window, 1);
+    // A hierarchical index is read once for all covers' curve ranges.
+    const bool tree_index = system.tree_index() != nullptr;
     ws.needed.clear();
-    // Set when exactly one cover fed `needed`: its lookup is already sorted
-    // and unique, and its memoized index read cost applies verbatim.
-    CoverEntry* sole_cover = nullptr;
-    if (options.use_window_reduction) {
-      for (const geom::Rect& residual : outcome.residual_windows) {
-        CoverEntry& cover = ws.Cover(system, residual);
-        if (outcome.residual_windows.size() == 1) sole_cover = &cover;
-        if (cover.ranges.empty()) continue;
-        const std::vector<int64_t>& part = single_span
-                                               ? ws.SpanBuckets(system, &cover)
-                                               : ws.RangeBuckets(system, &cover);
-        ws.needed.insert(ws.needed.end(), part.begin(), part.end());
+    ws.lookups.clear();
+    for (const geom::Rect& rect : solved) {
+      CoverEntry& cover = ws.Cover(system, rect);
+      if (tree_index) {
+        ws.lookups.insert(ws.lookups.end(), cover.ranges.begin(),
+                          cover.ranges.end());
       }
-    } else {
-      CoverEntry& cover = ws.Cover(system, window);
-      sole_cover = &cover;
-      if (!cover.ranges.empty()) {
-        const std::vector<int64_t>& part = single_span
-                                               ? ws.SpanBuckets(system, &cover)
-                                               : ws.RangeBuckets(system, &cover);
-        ws.needed.insert(ws.needed.end(), part.begin(), part.end());
-      }
+      if (cover.ranges.empty()) continue;
+      const std::vector<int64_t>& part = single_span
+                                             ? ws.SpanBuckets(system, &cover)
+                                             : ws.RangeBuckets(system, &cover);
+      ws.needed.insert(ws.needed.end(), part.begin(), part.end());
     }
-    // The memoized content is the neighbourhood of the sole cover's key, so
-    // it holds every downloaded POI inside `window` only when that cover is
-    // the window's own: no reduction, or one residual equal to the window.
-    const bool window_cover =
-        sole_cover != nullptr && (!options.use_window_reduction ||
-                                  outcome.residual_windows.front() == window);
     std::sort(ws.needed.begin(), ws.needed.end());
     ws.needed.erase(std::unique(ws.needed.begin(), ws.needed.end()),
                     ws.needed.end());
-    outcome.buckets.assign(ws.needed.begin(), ws.needed.end());
     broadcast::IndexReadMode index_mode =
         broadcast::IndexReadMode::FlatDirectory();
-    if (system.tree_index() != nullptr) {
-      if (sole_cover != nullptr) {
-        index_mode = broadcast::IndexReadMode::TreePaths(
-            ws.TreeReadBuckets(system, sole_cover));
-      } else {
-        ws.lookups.clear();
-        for (const geom::Rect& residual : outcome.residual_windows) {
-          const std::vector<hilbert::IndexRange>& part =
-              ws.Cover(system, residual).ranges;
-          ws.lookups.insert(ws.lookups.end(), part.begin(), part.end());
-        }
-        index_mode = broadcast::IndexReadMode::TreePaths(
-            system.IndexReadBuckets(ws.lookups));
-      }
+    if (tree_index) {
+      index_mode = broadcast::IndexReadMode::TreePaths(
+          system.IndexReadBuckets(ws.lookups));
     }
-    const std::vector<int64_t>* retrieved = &ws.needed;
-    bool complete_cover = false;
-    if (faults != nullptr && faults->channel_enabled()) {
-      fault::FaultyRetrievalResult r =
-          faults->Retrieve(system.schedule(), now, ws.needed, index_mode,
-                           trace);
-      outcome.stats = r.stats;
-      outcome.fault_losses = r.losses;
-      outcome.fault_corruptions = r.corruptions;
-      outcome.fault_deadline_hit = r.deadline_hit;
-      if (!r.complete()) {
-        outcome.degraded = true;
-        outcome.failed_buckets = std::move(r.failed);
-      }
-      ws.retrieved = std::move(r.received);
-      retrieved = &ws.retrieved;
-    } else {
-      outcome.stats = broadcast::RetrieveBuckets(system.schedule(), now,
-                                                 ws.needed, index_mode, trace);
-      complete_cover = window_cover && !sole_cover->ranges.empty();
-    }
+    const std::vector<int64_t>& retrieved =
+        RetrieveNeeded(system, now, index_mode, trace, faults, ws, &outcome);
     if (trace != nullptr) {
       trace->Span("sbwq.fallback", now, now + outcome.stats.access_latency);
     }
@@ -155,31 +112,16 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     // inside it (both tests are closed), so only those are processed. The
     // filter uses the original window, not the residuals, so the result
     // does not depend on the peers being complete.
-    if (complete_cover) {
-      // The memoized bucket content carries its own SoA transpose: the
-      // window filter is a single kernel pass, no per-query transpose.
-      const std::vector<spatial::Poi>& memo =
-          single_span ? ws.SpanPois(system, sole_cover)
-                      : ws.RangePois(system, sole_cover);
-      const kernels::PoiSlab& mslab =
-          single_span ? sole_cover->span_slab : sole_cover->range_slab;
-      uint32_t* idx = ws.slab.IdxFor(mslab.size());
-      const size_t m = kernels::SelectInWindow(
-          mslab.xs(), mslab.ys(), mslab.size(), window.x1, window.y1,
-          window.x2, window.y2, idx);
-      for (size_t j = 0; j < m; ++j) pool.push_back(memo[idx[j]]);
-    } else {
-      system.CollectPois(ws.BucketsMeeting(system, *retrieved, window),
-                         &ws.collect_scratch, &ws.known_pois);
-      const size_t n = ws.known_pois.size();
-      ws.slab.slab.Assign(ws.known_pois.data(), n);
-      uint32_t* idx = ws.slab.IdxFor(n);
-      const size_t m =
-          kernels::SelectInWindow(ws.slab.slab.xs(), ws.slab.slab.ys(), n,
-                                  window.x1, window.y1, window.x2, window.y2,
-                                  idx);
-      for (size_t j = 0; j < m; ++j) pool.push_back(ws.known_pois[idx[j]]);
-    }
+    system.CollectPois(ws.BucketsMeeting(system, retrieved, window),
+                       &ws.collect_scratch, &ws.known_pois);
+    const size_t n = ws.known_pois.size();
+    ws.slab.slab.Assign(ws.known_pois.data(), n);
+    uint32_t* idx = ws.slab.IdxFor(n);
+    const size_t m =
+        kernels::SelectInWindow(ws.slab.slab.xs(), ws.slab.slab.ys(), n,
+                                window.x1, window.y1, window.x2, window.y2,
+                                idx);
+    for (size_t j = 0; j < m; ++j) pool.push_back(ws.known_pois[idx[j]]);
   }
 
   if (peer_pool_size > 0) {

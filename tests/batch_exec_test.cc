@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -17,7 +18,8 @@
 /// field-for-field identical to a sequential loop of convenience `Execute`
 /// calls — with faults on or off, with tracing on or off, on one thread or
 /// on many with per-thread workspaces, and through an arbitrarily reused
-/// (warm, kind-flipped) workspace.
+/// (warm, kind-flipped) workspace, including one that outlives the system
+/// it was bound to.
 
 namespace lbsq::core {
 namespace {
@@ -308,6 +310,75 @@ TEST(BatchExecTest, WarmWorkspaceAndKindFlipsStayIdentical) {
     SCOPED_TRACE(i);
     ExpectOutcomeEq(reference[mixed.size() - 1 - i], flipped[i]);
   }
+}
+
+TEST(BatchExecTest, WorkspaceRebindsToNewEpochAtRecycledAddress) {
+  // The epoch-publish hazard: the next epoch's system is built at the
+  // address of the one it replaces, with the same POI count. Only the epoch
+  // tells a workspace that its memoized bucket lookups are stale.
+  broadcast::BroadcastParams params;
+  params.hilbert_order = 6;
+  params.bucket_capacity = 4;
+  Rng old_rng(13);
+  Rng moved_rng(14);
+  std::optional<broadcast::BroadcastSystem> system;
+  system.emplace(spatial::GenerateUniformPois(&old_rng, kWorld, 600), kWorld,
+                 params);
+  const broadcast::BroadcastSystem* const address = &*system;
+
+  // Every request lies in broadcast cycle 0 of both epochs, so the cycle
+  // scope alone never clears the memo between them.
+  auto requests_for = [](const broadcast::BroadcastSystem& s) {
+    RequestSet set = MakeRequests(s, 40, /*seed=*/83);
+    for (size_t i = 0; i < set.requests.size(); ++i) {
+      set.requests[i].slot = static_cast<int64_t>(i);
+      EXPECT_LT(set.requests[i].slot, s.schedule().cycle_length());
+    }
+    return set;
+  };
+
+  QueryWorkspace workspace;
+  {
+    const QueryEngine engine(*system, kWorld, EngineOptions{});
+    const RequestSet set = requests_for(*system);
+    QueryOutcome outcome;
+    for (const QueryRequest& r : set.requests) {
+      engine.Execute(r, workspace, &outcome);
+    }
+    ASSERT_GT(workspace.memo_size(), 0u);
+  }
+
+  system.reset();
+  params.epoch += 1;
+  system.emplace(spatial::GenerateUniformPois(&moved_rng, kWorld, 600),
+                 kWorld, params);
+  ASSERT_EQ(&*system, address);
+  ASSERT_EQ(system->pois().size(), 600u);
+
+  const QueryEngine engine(*system, kWorld, EngineOptions{});
+  const RequestSet set = requests_for(*system);
+  QueryWorkspace fresh;
+  QueryOutcome reused;
+  QueryOutcome reference;
+  for (size_t i = 0; i < set.requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    engine.Execute(set.requests[i], workspace, &reused);
+    engine.Execute(set.requests[i], fresh, &reference);
+    ExpectOutcomeEq(reference, reused);
+  }
+  EXPECT_EQ(workspace.pinned_epoch(), params.epoch);
+
+  // A request in the next cycle leaves only that cycle's keys memoized.
+  QueryRequest next_cycle = set.requests.front();
+  next_cycle.peers = {};
+  next_cycle.slot = system->schedule().cycle_length();
+  QueryWorkspace next_fresh;
+  engine.Execute(next_cycle, workspace, &reused);
+  engine.Execute(next_cycle, next_fresh, &reference);
+  ExpectOutcomeEq(reference, reused);
+  EXPECT_EQ(workspace.memo_cycle(), 1);
+  EXPECT_GT(next_fresh.memo_size(), 0u);
+  EXPECT_EQ(workspace.memo_size(), next_fresh.memo_size());
 }
 
 }  // namespace

@@ -15,16 +15,14 @@
 #include "onair/onair_knn.h"
 #include "onair/onair_window.h"
 #include "spatial/generators.h"
-#include "spatial/quadtree.h"
-#include "spatial/rstar_tree.h"
 #include "spatial/rtree.h"
 
 /// Differential testing: every implementation of the same query answers the
 /// same random instances identically. One shared world per seed; window
 /// queries are answered by the Guttman R-tree (dynamic and bulk-loaded), the
-/// R*-tree, the PR quadtree, the on-air client (both retrieval modes), SBWQ
-/// with random peers, and brute force; kNN by both R-tree strategies, the
-/// R*-tree, the quadtree, the on-air client, SBNN, and brute force.
+/// on-air client (both retrieval modes), SBWQ with random peers, and brute
+/// force; kNN by both R-tree strategies, the on-air client, SBNN, and brute
+/// force.
 
 namespace lbsq {
 namespace {
@@ -36,8 +34,6 @@ struct World {
   std::unique_ptr<broadcast::BroadcastSystem> system;
   spatial::RTree rtree;
   spatial::RTree packed;
-  spatial::RStarTree rstar;
-  std::unique_ptr<spatial::QuadTree> quad;
   double density;
 
   explicit World(uint64_t seed) {
@@ -57,9 +53,6 @@ struct World {
                                                           params);
     rtree.InsertAll(pois);
     packed = spatial::RTree::BulkLoadStr(pois);
-    rstar.InsertAll(pois);
-    quad = std::make_unique<spatial::QuadTree>(bounds, 8);
-    quad->InsertAll(pois);
   }
 
   core::PeerData RandomPeer(Rng* rng) const {
@@ -86,8 +79,6 @@ TEST_P(DifferentialTest, AllWindowImplementationsAgree) {
     const auto truth = spatial::BruteForceWindow(world.pois, window);
     EXPECT_EQ(world.rtree.WindowQuery(window), truth);
     EXPECT_EQ(world.packed.WindowQuery(window), truth);
-    EXPECT_EQ(world.rstar.WindowQuery(window), truth);
-    EXPECT_EQ(world.quad->WindowQuery(window), truth);
     EXPECT_EQ(
         onair::OnAirWindow(*world.system, window, trial * 3).pois, truth);
     EXPECT_EQ(onair::OnAirWindow(*world.system, window, trial * 3,
@@ -119,8 +110,6 @@ TEST_P(DifferentialTest, AllKnnImplementationsAgree) {
     expect_ids(world.rtree.KnnBestFirst(q, k), "rtree best-first");
     expect_ids(world.rtree.KnnDepthFirst(q, k), "rtree depth-first");
     expect_ids(world.packed.KnnBestFirst(q, k), "packed rtree");
-    expect_ids(world.rstar.Knn(q, k), "rstar");
-    expect_ids(world.quad->Knn(q, k), "quadtree");
     expect_ids(onair::OnAirKnn(*world.system, q, k, trial * 5).neighbors,
                "on-air");
     std::vector<core::PeerData> peers;
