@@ -1,39 +1,54 @@
-// Throughput and allocation behavior of the batched query path.
+// Allocation behavior of the workspace query path, plus machine-independent
+// timing ratios.
 //
 // Runs the default Table 3 workload (Los Angeles City: 2750 POIs over a
-// 20 x 20 mi world, k = 5, 3% windows) through the two QueryEngine
-// execution modes:
+// 20 x 20 mi world, k = 5, 3% windows) through a warm `QueryWorkspace`, on
+// two request streams, and asserts (when built with LBSQ_COUNT_ALLOCS, the
+// default outside sanitizer builds) that each makes ZERO heap allocations
+// per query once warm:
 //
-//   per-query : the convenience `Execute(request)` — transient buffers.
-//   batch     : `ExecuteBatch` through one warm `QueryWorkspace` — scratch
-//               reuse plus the broadcast-cycle memo of covers and bucket
-//               lookups, which every timed pass after the first replays
-//               (all requests lie in one cycle).
+//   replay  the stream lbsq_load replays against lbsq_server: the
+//           simulator's Poisson arrivals, kNN positions on the hosts'
+//           random-waypoint trajectories, 3% windows, no peers. Each
+//           request runs through `ShardedQueryEngine::Execute(request,
+//           workspace, &outcome)` with one reused workspace and outcome,
+//           the call lbsq_server's worker loop makes. The counted requests
+//           are fresh: the workspace was warmed on an earlier, disjoint
+//           part of the stream.
+//   hotspot clients clustered around hot spots, 30% carrying a peer
+//           region; one batch replayed through `ExecuteBatch`.
 //
-// Verifies the two modes are field-for-field identical, measures best-of-R
-// throughput for each, and (when built with LBSQ_COUNT_ALLOCS, the default
-// outside sanitizer builds) asserts the batch path performs ZERO heap
-// allocations per query once the workspace is warm.
+// Every workspace answer is checked field for field against the
+// convenience `Execute(request)`.
+//
+// It also times ratios of two implementations on the same machine: the
+// Hilbert cover by quadrant descent against the enumerate-and-sort cover
+// it replaced (`cover_descent_vs_enumerate_speedup`, on the replay
+// stream's own cover rectangles) and each SIMD kernel's scalar tier
+// against the active tier (`kernel_*_speedup`).
 //
 // Writes the results to BENCH_core.json (see --out). With --baseline=<file>
-// it instead compares the measured batch speedup against the checked-in
-// baseline's and exits 1 when it regressed by more than --max-regression
-// (default 0.25). The speedup ratio — not absolute qps — is compared, so
-// the check is meaningful across machines of different speeds.
+// it instead compares every measured ratio against the checked-in
+// baseline's and exits 1 when one regressed by more than --max-regression
+// (default 0.25). Absolute timings are never compared.
 //
 // With --via-store the engine under the bench is constructed through a
 // WriteStore / OpenFromStore roundtrip over the in-memory page backend
-// instead of directly from the POI list — the same baseline gate then also
-// covers the storage path (state identity guarantees the workload and
-// answers are unchanged; only construction differs).
+// instead of directly from the POI list — the same gates then also cover
+// the storage path (state identity guarantees the workload and answers are
+// unchanged; only construction differs).
 //
 // Run:  ./build/bench/bench_batch_throughput [--out=BENCH_core.json]
 //       ./build/bench/bench_batch_throughput --baseline=BENCH_core.json
 //       ./build/bench/bench_batch_throughput --via-store --baseline=...
-// Env:  LBSQ_BENCH_FAST=1  - smaller batch for smoke testing.
+// Env:  LBSQ_BENCH_FAST=1  - fewer counted requests and timing rounds, for
+//                            smoke testing.
+//       LBSQ_DBG=1         - print a backtrace (to stderr) for every
+//                            allocation a counted workspace call makes.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,9 +70,16 @@
 #include "common/rng.h"
 #include "core/query_engine.h"
 #include "core/query_workspace.h"
+#include "core/sharded_query_engine.h"
+#include "geom/circle.h"
 #include "geom/rect.h"
+#include "hilbert/cover_oracle.h"
+#include "hilbert/hilbert.h"
 #include "kernels/dispatch.h"
 #include "kernels/kernels.h"
+#include "sim/config.h"
+#include "sim/mobility.h"
+#include "sim/workload.h"
 #include "spatial/generators.h"
 #include "storage/system_builder.h"
 
@@ -84,10 +106,8 @@ struct Workload {
 };
 
 // The Table 3 query mix, clients clustered around hot spots (a few dozen
-// per world), every slot within one broadcast cycle. Within one pass the
-// requests share almost no cover key (the memo ends with more keys than
-// requests); the memo pays on the repeated passes over the same batch.
-Workload MakeWorkload(
+// per world), every slot within one broadcast cycle.
+Workload MakeHotspotWorkload(
     const broadcast::BroadcastSystem& system, int n, uint64_t seed) {
   Rng rng(seed);
   const int64_t cycle = system.schedule().cycle_length();
@@ -137,6 +157,50 @@ Workload MakeWorkload(
   return workload;
 }
 
+// The first `n` requests of the stream lbsq_load sends for the Table 3 LA
+// City configuration at full scale (server::ReplayWorkload builds its query
+// calls the same way): Poisson arrivals, each host's kNN position on its
+// random-waypoint trajectory at the event time, 30% windows of mean area
+// 3%, slots from the event times. Peerless, like the wire protocol.
+Workload MakeReplayWorkload(size_t n) {
+  sim::SimConfig config;
+  config.world_side_mi = kWorldSide;
+  config.query_type = sim::QueryType::kMixed;
+  config.warmup_min = 0.0;
+  // LA City issues 6,220 queries per minute over the paper's area.
+  config.duration_min =
+      static_cast<double>(n) / config.params.query_per_min + 0.1;
+  const geom::Rect world{0.0, 0.0, kWorldSide, kWorldSide};
+  const std::vector<sim::QueryEvent> events =
+      sim::GenerateWorkload(config, world);
+  const std::unique_ptr<sim::MobilityModel> mobility =
+      sim::MakeMobilityModel(config, world);
+  Workload workload;
+  workload.requests.reserve(n);
+  for (size_t i = 0; i < n && i < events.size(); ++i) {
+    const sim::QueryEvent& event = events[i];
+    core::QueryRequest r;
+    r.slot = static_cast<int64_t>(event.time_min * config.slots_per_second *
+                                  60.0);
+    if (event.type == sim::QueryType::kKnn) {
+      r.kind = core::QueryKind::kKnn;
+      r.position = mobility->Position(event.host, event.time_min);
+      r.k = event.k;
+    } else {
+      r.kind = core::QueryKind::kWindow;
+      r.window = event.window;
+    }
+    r.fault_stream = static_cast<uint64_t>(i);
+    workload.requests.push_back(r);
+  }
+  if (workload.requests.size() != n) {
+    std::fprintf(stderr, "FATAL: replay stream has %zu of %zu requests\n",
+                 workload.requests.size(), n);
+    std::exit(1);
+  }
+  return workload;
+}
+
 bool CommonEq(const core::QueryResultCommon& a,
               const core::QueryResultCommon& b) {
   return a.stats.access_latency == b.stats.access_latency &&
@@ -146,7 +210,7 @@ bool CommonEq(const core::QueryResultCommon& a,
          a.cacheable.pois == b.cacheable.pois && a.degraded == b.degraded;
 }
 
-// Mode-identity check: the batch answer must be bit-identical to the
+// Mode-identity check: the workspace answer must be bit-identical to the
 // per-query answer (the contract bench numbers are meaningless without).
 bool OutcomeEq(const core::QueryOutcome& a, const core::QueryOutcome& b) {
   if (a.kind != b.kind) return false;
@@ -186,13 +250,22 @@ struct KernelRow {
   double speedup = 0.0;  // scalar_ns / active_ns — hardware-comparable ratio
 };
 
+// The Hilbert cover by quadrant descent against the enumerate-and-sort
+// reference, on the same rectangles: a ratio of two timings on one machine.
+struct CoverRow {
+  int rects = 0;
+  double cells_per_rect = 0.0;
+  double descent_ns = 0.0;    // per cover
+  double enumerate_ns = 0.0;  // per cover
+  double speedup = 0.0;       // enumerate_ns / descent_ns
+};
+
 struct BenchResult {
-  int n_queries = 0;
-  double per_query_qps = 0.0;
-  double batch_qps = 0.0;
-  double speedup = 0.0;
-  double steady_state_allocs_per_query = 0.0;
-  size_t memo_size = 0;
+  int warm_requests = 0;
+  int counted_requests = 0;
+  double replay_allocs_per_query = 0.0;
+  double hotspot_allocs_per_query = 0.0;
+  CoverRow cover;
   std::vector<KernelRow> kernels;
 };
 
@@ -250,7 +323,7 @@ class CpuRotation {
 
 // Kernel-level throughput at the scalar tier vs the active dispatch tier,
 // on a slab the size of the Table 3 database. The scalar/active ratio is
-// what the baseline gate compares: like the batch speedup, it is a ratio of
+// what the baseline gate compares: like the cover ratio, it is a ratio of
 // two timings on the same machine, so it transfers across hardware.
 //
 // Every (kernel, tier) pair runs one short block per round, all pairs
@@ -336,7 +409,106 @@ std::vector<KernelRow> RunKernelBench() {
   return rows;
 }
 
+// The cover rectangles `requests` ask for: each window as it is, and for
+// each (peerless) kNN the MBR of its index-bounded search circle, the
+// rectangle RunSbnn covers. Interleaved best-of-rounds blocks, as for the
+// kernels.
+CoverRow RunCoverBench(const core::QueryEngine& engine,
+                       const broadcast::BroadcastSystem& system,
+                       std::span<const core::QueryRequest> requests) {
+  const int rounds = FastMode() ? 10 : 60;
+  const hilbert::HilbertGrid& grid = system.grid();
+  const core::SbnnOptions& sbnn = engine.options().sbnn;
+  std::vector<geom::Rect> rects;
+  for (const core::QueryRequest& r : requests) {
+    if (r.kind == core::QueryKind::kWindow) {
+      rects.push_back(r.window);
+      continue;
+    }
+    double radius = system.index().KthDistanceUpperBound(
+        r.position, r.k > 0 ? r.k : sbnn.k);
+    if (!std::isfinite(radius)) radius = grid.world().MaxDistance(r.position);
+    rects.push_back(
+        geom::Circle{r.position, radius * sbnn.prefetch_radius_factor}.Mbr());
+  }
+  const int n_rects = static_cast<int>(rects.size());
+  std::vector<hilbert::IndexRange> ranges;
+  std::vector<uint64_t> cells;
+  CoverRow row;
+  row.rects = n_rects;
+  double total_cells = 0.0;
+  for (const geom::Rect& r : rects) {
+    grid.CoverRect(r, &ranges);
+    for (const hilbert::IndexRange& range : ranges) {
+      total_cells += static_cast<double>(range.hi - range.lo + 1);
+    }
+    std::vector<hilbert::IndexRange> reference;
+    hilbert::CoverRectByEnumeration(grid, r, &cells, &reference);
+    if (!(reference == ranges)) {
+      std::fprintf(stderr, "FATAL: descent cover differs from enumeration\n");
+      std::exit(1);
+    }
+  }
+  row.cells_per_rect = total_cells / n_rects;
+  double best[2] = {1e300, 1e300};
+  uint64_t sink = 0;
+  for (int round = 0; round < rounds; ++round) {
+    auto start = std::chrono::steady_clock::now();
+    for (const geom::Rect& r : rects) {
+      grid.CoverRect(r, &ranges);
+      sink += ranges.size();
+    }
+    best[0] = std::min(best[0], SecondsSince(start));
+    start = std::chrono::steady_clock::now();
+    for (const geom::Rect& r : rects) {
+      hilbert::CoverRectByEnumeration(grid, r, &cells, &ranges);
+      sink += ranges.size();
+    }
+    best[1] = std::min(best[1], SecondsSince(start));
+  }
+  if (sink == 0) std::exit(1);  // keeps the timed loops observable
+  row.descent_ns = best[0] * 1e9 / n_rects;
+  row.enumerate_ns = best[1] * 1e9 / n_rects;
+  row.speedup = row.enumerate_ns / row.descent_ns;
+  return row;
+}
+
+// Runs `fn` and returns the heap allocations it made. With LBSQ_DBG set,
+// each of them also prints a backtrace to stderr; symbolize it with
+// `addr2line -e <binary> -f -C <offsets>`.
+template <typename Fn>
+uint64_t CountAllocs(Fn&& fn) {
+#ifdef LBSQ_COUNT_ALLOCS
+  static const bool trap = std::getenv("LBSQ_DBG") != nullptr;
+  g_alloc_trap = trap;
+#endif
+  const uint64_t before = AllocCount();
+  fn();
+  const uint64_t allocs = AllocCount() - before;
+#ifdef LBSQ_COUNT_ALLOCS
+  g_alloc_trap = false;
+#endif
+  return allocs;
+}
+
+// Exits 1 unless the workspace answer equals the per-query `Execute` one.
+void CheckIdentity(const core::QueryOutcome& reference,
+                   const core::QueryOutcome& got, const char* stream,
+                   size_t index) {
+  if (!OutcomeEq(reference, got)) {
+    std::fprintf(stderr,
+                 "FATAL: %s request %zu: workspace outcome differs from "
+                 "per-query Execute\n",
+                 stream, index);
+    std::exit(1);
+  }
+}
+
 BenchResult RunBench(bool via_store) {
+  // The kernel timings first, on a fresh heap: run after the query streams,
+  // the active tier of window_mask measured ~30% slower on one 4-vCPU VM
+  // while the scalar tier did not move.
+  const std::vector<KernelRow> kernels = RunKernelBench();
   const geom::Rect world{0.0, 0.0, kWorldSide, kWorldSide};
   Rng rng(7);
   const storage::SystemBuilder builder(world, broadcast::BroadcastParams{});
@@ -364,83 +536,60 @@ BenchResult RunBench(bool via_store) {
   const broadcast::BroadcastSystem& system = *sharded->shard_system(0);
   const core::QueryEngine& engine = *sharded->shard_engine(0);
 
+  // The replay warm-up must bring every buffer to its high-water mark for
+  // this traffic: a request larger than any before it (a Poisson k in the
+  // tail, a maximal window over dense POIs) grows a buffer once, which is
+  // capacity, not per-query work. After 16,000 warm-up requests the next
+  // 2,000 still met 5 such growths; after 24,000 they met none. The
+  // warm-up does not shrink in fast mode, which counts a prefix of the
+  // same part.
+  constexpr size_t kWarmRequests = 32000;
+  const size_t counted = FastMode() ? 400 : 2000;
   BenchResult result;
-  result.n_queries = FastMode() ? 400 : 2000;
-  const Workload workload = MakeWorkload(system, result.n_queries,
-                                         /*seed=*/13);
-  const std::vector<core::QueryRequest>& requests = workload.requests;
+  result.kernels = kernels;
+  result.warm_requests = static_cast<int>(kWarmRequests);
+  result.counted_requests = static_cast<int>(counted);
 
-  // Identity first: every batch outcome must match its per-query twin.
-  std::vector<core::QueryOutcome> reference;
-  reference.reserve(requests.size());
-  for (const core::QueryRequest& r : requests) {
-    reference.push_back(engine.Execute(r));
+  // Replay: the call lbsq_server's worker loop makes, with one workspace
+  // and one outcome reused across the whole stream.
+  core::ShardedQueryWorkspace server_workspace;
+  core::QueryOutcome outcome;
+  const Workload replay = MakeReplayWorkload(kWarmRequests + counted);
+  uint64_t replay_allocs = 0;
+  for (size_t j = 0; j < replay.requests.size(); ++j) {
+    const core::QueryRequest& r = replay.requests[j];
+    auto execute = [&] { sharded->Execute(r, server_workspace, &outcome); };
+    if (j < kWarmRequests) {
+      execute();
+    } else {
+      replay_allocs += CountAllocs(execute);
+    }
+    CheckIdentity(engine.Execute(r), outcome, "replay", j);
   }
+  result.replay_allocs_per_query =
+      static_cast<double>(replay_allocs) / static_cast<double>(counted);
+
+  // Hotspot: one batch, executed once to warm the outcome arena, then
+  // counted on the second pass.
   core::QueryWorkspace workspace;
-  {
-    const std::span<const core::QueryOutcome> batch =
-        engine.ExecuteBatch(requests, workspace);
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (!OutcomeEq(reference[i], batch[i])) {
-        std::fprintf(stderr,
-                     "FATAL: batch outcome %zu differs from per-query "
-                     "Execute\n",
-                     i);
-        std::exit(1);
-      }
-    }
+  const Workload hotspot =
+      MakeHotspotWorkload(system, static_cast<int>(counted), /*seed=*/13);
+  engine.ExecuteBatch(hotspot.requests, workspace);
+  std::span<const core::QueryOutcome> batch;
+  const uint64_t hotspot_allocs = CountAllocs(
+      [&] { batch = engine.ExecuteBatch(hotspot.requests, workspace); });
+  result.hotspot_allocs_per_query =
+      static_cast<double>(hotspot_allocs) / static_cast<double>(counted);
+  for (size_t j = 0; j < counted; ++j) {
+    CheckIdentity(engine.Execute(hotspot.requests[j]), batch[j], "hotspot",
+                  j);
   }
-  result.memo_size = workspace.memo_size();
 
-  // Steady state: the workspace is warm after the identity pass; one more
-  // full batch must not touch the heap at all.
-  const uint64_t allocs_before = AllocCount();
-  engine.ExecuteBatch(requests, workspace);
-  const uint64_t allocs_after = AllocCount();
-  result.steady_state_allocs_per_query =
-      static_cast<double>(allocs_after - allocs_before) /
-      static_cast<double>(requests.size());
-
-#ifdef LBSQ_COUNT_ALLOCS
-  // LBSQ_DBG=1: instead of benchmarking, print a backtrace (to stderr) for
-  // every allocation a warm batch performs, then exit — the fastest way to
-  // locate a zero-allocation regression. Symbolize with
-  // `addr2line -e <binary> -f -C <offsets>`.
-  if (std::getenv("LBSQ_DBG") != nullptr) {
-    g_alloc_trap = true;
-    engine.ExecuteBatch(std::span<const core::QueryRequest>(
-                            requests.data(),
-                            std::min<size_t>(requests.size(), 50)),
-                        workspace);
-    g_alloc_trap = false;
-    std::exit(0);
-  }
-#endif
-
-  // Throughput, best of R runs per mode (interleaved so thermal / frequency
-  // drift hits both modes alike).
-  const int repetitions = FastMode() ? 3 : 5;
-  double best_per_query = 1e300;
-  double best_batch = 1e300;
-  for (int rep = 0; rep < repetitions; ++rep) {
-    auto start = std::chrono::steady_clock::now();
-    for (const core::QueryRequest& r : requests) {
-      const core::QueryOutcome out = engine.Execute(r);
-      (void)out;
-    }
-    const double per_query_s = SecondsSince(start);
-    if (per_query_s < best_per_query) best_per_query = per_query_s;
-
-    start = std::chrono::steady_clock::now();
-    engine.ExecuteBatch(requests, workspace);
-    const double batch_s = SecondsSince(start);
-    if (batch_s < best_batch) best_batch = batch_s;
-  }
-  result.per_query_qps = static_cast<double>(result.n_queries) /
-                         best_per_query;
-  result.batch_qps = static_cast<double>(result.n_queries) / best_batch;
-  result.speedup = result.batch_qps / result.per_query_qps;
-  result.kernels = RunKernelBench();
+  constexpr size_t kCoverRequests = 512;
+  result.cover = RunCoverBench(
+      engine, system,
+      std::span<const core::QueryRequest>(replay.requests)
+          .first(kCoverRequests));
   return result;
 }
 
@@ -459,20 +608,25 @@ void WriteJson(const BenchResult& r, const std::string& path) {
                "    \"world_side_mi\": %.1f,\n"
                "    \"knn_k\": %d,\n"
                "    \"window_pct\": %.1f,\n"
-               "    \"n_queries\": %d\n"
+               "    \"replay_warm_requests\": %d,\n"
+               "    \"counted_requests\": %d\n"
                "  },\n"
-               "  \"per_query_qps\": %.1f,\n"
-               "  \"batch_qps\": %.1f,\n"
-               "  \"speedup\": %.4f,\n"
-               "  \"steady_state_allocs_per_query\": %.4f,\n"
+               "  \"replay_allocs_per_query\": %.4f,\n"
+               "  \"hotspot_allocs_per_query\": %.4f,\n"
                "  \"alloc_counting\": %s,\n"
-               "  \"memo_size\": %zu,\n"
+               "  \"cover_rects\": %d,\n"
+               "  \"cover_cells_per_rect\": %.1f,\n"
+               "  \"cover_descent_ns\": %.1f,\n"
+               "  \"cover_enumerate_ns\": %.1f,\n"
+               "  \"cover_descent_vs_enumerate_speedup\": %.4f,\n"
                "  \"simd_tier\": \"%s\",\n"
                "  \"simd_tier_id\": %d",
-               kPoiNumber, kWorldSide, kKnnK, kWindowPct, r.n_queries,
-               r.per_query_qps, r.batch_qps, r.speedup,
-               r.steady_state_allocs_per_query,
-               kAllocCountingEnabled ? "true" : "false", r.memo_size,
+               kPoiNumber, kWorldSide, kKnnK, kWindowPct, r.warm_requests,
+               r.counted_requests, r.replay_allocs_per_query,
+               r.hotspot_allocs_per_query,
+               kAllocCountingEnabled ? "true" : "false", r.cover.rects,
+               r.cover.cells_per_rect, r.cover.descent_ns,
+               r.cover.enumerate_ns, r.cover.speedup,
                kernels::TierName(kernels::ActiveTier()),
                static_cast<int>(kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {
@@ -536,17 +690,20 @@ int main(int argc, char** argv) {
   }
 
   const BenchResult r = RunBench(via_store);
-  std::printf("batched query execution, Table 3 LA City workload "
-              "(%d queries%s%s):\n",
-              r.n_queries, FastMode() ? ", fast mode" : "",
+  std::printf("warm workspace execution, Table 3 LA City workload "
+              "(%d requests counted per stream%s%s):\n",
+              r.counted_requests, FastMode() ? ", fast mode" : "",
               via_store ? ", engine opened from page store" : "");
-  std::printf("  per-query Execute : %10.1f queries/s\n", r.per_query_qps);
-  std::printf("  ExecuteBatch      : %10.1f queries/s\n", r.batch_qps);
-  std::printf("  speedup           : %10.2fx\n", r.speedup);
-  std::printf("  steady-state allocations/query: %.4f%s\n",
-              r.steady_state_allocs_per_query,
-              kAllocCountingEnabled ? "" : " (counting compiled out)");
-  std::printf("  cycle memo entries: %zu\n", r.memo_size);
+  const char* counting = kAllocCountingEnabled ? "" : " (counting compiled out)";
+  std::printf("  replay stream allocations/query : %.4f%s (after %d warm-up "
+              "requests)\n",
+              r.replay_allocs_per_query, counting, r.warm_requests);
+  std::printf("  hotspot batch allocations/query : %.4f%s\n",
+              r.hotspot_allocs_per_query, counting);
+  std::printf("  cover (%d rects, %.0f cells each): %7.1f ns descent, "
+              "%7.1f ns enumerate (%.2fx)\n",
+              r.cover.rects, r.cover.cells_per_rect, r.cover.descent_ns,
+              r.cover.enumerate_ns, r.cover.speedup);
   std::printf("  SIMD dispatch tier: %s\n",
               lbsq::kernels::TierName(lbsq::kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {
@@ -557,31 +714,37 @@ int main(int argc, char** argv) {
                 k.speedup);
   }
 
-  if (kAllocCountingEnabled && r.steady_state_allocs_per_query != 0.0) {
+  if (kAllocCountingEnabled && (r.replay_allocs_per_query != 0.0 ||
+                                r.hotspot_allocs_per_query != 0.0)) {
     std::fprintf(stderr,
-                 "FAIL: steady-state batch execution allocated (%.4f "
-                 "allocations/query, expected 0)\n",
-                 r.steady_state_allocs_per_query);
+                 "FAIL: warm workspace execution allocated (replay %.4f, "
+                 "hotspot %.4f allocations/query, expected 0)\n",
+                 r.replay_allocs_per_query, r.hotspot_allocs_per_query);
     return 1;
   }
 
   if (!baseline_path.empty()) {
-    double baseline_speedup = 0.0;
-    if (!ReadJsonNumber(baseline_path, "speedup", &baseline_speedup) ||
-        baseline_speedup <= 0.0) {
-      std::fprintf(stderr, "FAIL: no usable \"speedup\" in baseline %s\n",
+    // Cover gate: descent/enumeration ratio, the same 25% rule as the
+    // kernel rows. Both covers run on this machine, so the ratio transfers.
+    double baseline_cover = 0.0;
+    if (!ReadJsonNumber(baseline_path, "cover_descent_vs_enumerate_speedup",
+                        &baseline_cover) ||
+        baseline_cover <= 0.0) {
+      std::fprintf(stderr,
+                   "FAIL: no usable \"cover_descent_vs_enumerate_speedup\" "
+                   "in baseline %s\n",
                    baseline_path.c_str());
       return 1;
     }
-    const double floor = baseline_speedup * (1.0 - max_regression);
-    std::printf("  baseline speedup  : %10.2fx (floor %.2fx at %.0f%% "
+    const double floor = baseline_cover * (1.0 - max_regression);
+    std::printf("  baseline cover    : %10.2fx (floor %.2fx at %.0f%% "
                 "tolerance)\n",
-                baseline_speedup, floor, max_regression * 100.0);
-    if (r.speedup < floor) {
+                baseline_cover, floor, max_regression * 100.0);
+    if (r.cover.speedup < floor) {
       std::fprintf(stderr,
-                   "FAIL: batch speedup %.2fx regressed more than %.0f%% "
-                   "below baseline %.2fx\n",
-                   r.speedup, max_regression * 100.0, baseline_speedup);
+                   "FAIL: cover descent speedup %.2fx regressed more than "
+                   "%.0f%% below baseline %.2fx\n",
+                   r.cover.speedup, max_regression * 100.0, baseline_cover);
       return 1;
     }
     // Kernel gates: scalar/active ratios, compared only when the baseline

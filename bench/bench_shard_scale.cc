@@ -79,9 +79,7 @@ std::vector<core::QueryRequest> MakeWorkload(int n, uint64_t seed) {
       r.window = geom::Rect::CenteredSquare(q, window_side);
     }
     // Slots stay inside the first broadcast cycle of every channel in the
-    // sweep (the shortest channel cycle is far above this range): the
-    // workspace memo is cycle-scoped, and the zero-allocation contract —
-    // like bench_batch_throughput's — is defined for cycle-local workloads.
+    // sweep (the shortest channel cycle is far above this range).
     r.slot = static_cast<int64_t>(rng.NextBelow(64));
     requests.push_back(r);
   }

@@ -24,13 +24,13 @@
 // that count is ZERO: churn must not cost the query path its
 // zero-allocation property.
 //
-// "Steady state" is per epoch: an epoch publication rebinds the workspace
-// memo (covers of the old world are gone with the old system), so each
+// "Steady state" is per epoch: an epoch publication can change bucket
+// contents and so the high-water mark of the workspace's scratch, so each
 // inter-update chunk of the workload runs twice — once uncounted to warm
-// the fresh epoch's memo and the outcome buffers, then measured. The
-// marginal cost of a query on a warm epoch must be allocation-free; the
-// warm-up work is charged to the epoch switch, exactly like the rebuild
-// itself.
+// the workspace and the outcome buffers on the fresh epoch, then measured.
+// The marginal cost of a query on a warm epoch must be allocation-free;
+// the warm-up work is charged to the epoch switch, exactly like the
+// rebuild itself.
 //
 // Writes the results to BENCH_churn.json (see --out). With --baseline=<file>
 // it instead gates: the measured incremental-vs-full speedup must be at
@@ -162,8 +162,8 @@ double Percentile(std::vector<double> v, double p) {
 // One run over the workload on a fresh world, chunked at the update
 // interval: apply the batch (timed — publications are part of the churn
 // cost, and each Apply's wall time is recorded as one publish-latency
-// sample), warm the fresh epoch's memo with an uncounted pass over the
-// chunk, then execute the chunk measured.
+// sample), warm the workspace on the fresh epoch with an uncounted pass
+// over the chunk, then execute the chunk measured.
 ChurnRow RunChurn(const char* name, int interval, bool force_full,
                   const std::vector<spatial::Poi>& pois,
                   const ChurnWorkload& workload) {

@@ -237,19 +237,31 @@ double AirIndex::KthDistanceUpperBound(geom::Point q, int k,
 
 std::vector<int64_t> AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi) const {
   std::vector<int64_t> out;
-  AppendBucketsForSpan(bucket_ranges_, lo, hi, &out);
+  BucketsForSpan(lo, hi, &out);
   return out;
+}
+
+void AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi,
+                              std::vector<int64_t>* out) const {
+  out->clear();
+  AppendBucketsForSpan(bucket_ranges_, lo, hi, out);
 }
 
 std::vector<int64_t> AirIndex::BucketsForRanges(
     const std::vector<hilbert::IndexRange>& ranges) const {
   std::vector<int64_t> out;
+  BucketsForRanges(ranges, &out);
+  return out;
+}
+
+void AirIndex::BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
+                                std::vector<int64_t>* out) const {
+  out->clear();
   for (size_t i = 0; i < ranges.size(); ++i) {
     // Ascending starts keep each run's ids ascending past out->back().
     LBSQ_CHECK(i == 0 || ranges[i - 1].lo <= ranges[i].lo);
-    AppendBucketsForSpan(bucket_ranges_, ranges[i].lo, ranges[i].hi, &out);
+    AppendBucketsForSpan(bucket_ranges_, ranges[i].lo, ranges[i].hi, out);
   }
-  return out;
 }
 
 }  // namespace lbsq::broadcast

@@ -90,12 +90,22 @@ class AirIndex {
   /// search: O(log B + answer) for B buckets.
   std::vector<int64_t> BucketsForSpan(uint64_t lo, uint64_t hi) const;
 
+  /// Allocation-free BucketsForSpan: clears and fills `*out`, which keeps
+  /// its capacity across calls.
+  void BucketsForSpan(uint64_t lo, uint64_t hi,
+                      std::vector<int64_t>* out) const;
+
   /// Ids of the buckets whose Hilbert range intersects any of `ranges`
   /// (ranges with ascending starts, as produced by HilbertGrid::CoverRect;
   /// checked). Deduplicated, ascending. One BucketsForSpan run per range:
   /// O(ranges * log B + answer).
   std::vector<int64_t> BucketsForRanges(
       const std::vector<hilbert::IndexRange>& ranges) const;
+
+  /// Allocation-free BucketsForRanges: clears and fills `*out`, which keeps
+  /// its capacity across calls.
+  void BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
+                        std::vector<int64_t>* out) const;
 
  private:
   const hilbert::HilbertGrid* grid_;

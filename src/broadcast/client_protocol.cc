@@ -20,72 +20,6 @@ bool IsSortedUnique(const std::vector<int64_t>& buckets) {
 
 }  // namespace
 
-AccessStats RetrieveBucketsLossy(const BroadcastSchedule& schedule, int64_t t,
-                                 const std::vector<int64_t>& buckets,
-                                 double loss_prob, Rng* rng,
-                                 obs::TraceRecorder* trace) {
-  LBSQ_CHECK(t >= 0);
-  LBSQ_CHECK(loss_prob >= 0.0 && loss_prob < 1.0);
-  LBSQ_CHECK(rng != nullptr);
-  AccessStats stats;
-
-  // Initial probe (assumed to succeed: only the next-index pointer is
-  // needed, and it is carried by every bucket).
-  stats.tuning_time += 1;
-  if (trace != nullptr) trace->Span("bcast.probe", t, t + 1);
-
-  // Index search with per-segment retry: a lost segment means dozing until
-  // the next replica.
-  int64_t cursor = t + 1;
-  int64_t index_retries = 0;
-  const int64_t first_index_start = schedule.NextIndexSegmentStart(cursor);
-  for (;;) {
-    const int64_t index_start = schedule.NextIndexSegmentStart(cursor);
-    cursor = index_start + schedule.index_buckets();
-    stats.tuning_time += schedule.index_buckets();
-    if (!rng->NextBool(loss_prob)) break;
-    ++index_retries;
-  }
-  const int64_t index_end = cursor;
-  if (trace != nullptr) {
-    trace->Span("bcast.index", first_index_start, index_end);
-    trace->Counter("bcast.index_retries", static_cast<double>(index_retries));
-  }
-
-  // Data retrieval with per-bucket retries at subsequent cycle occurrences.
-  std::vector<int64_t> canonical;
-  const std::vector<int64_t>* needed = &buckets;
-  if (!IsSortedUnique(buckets)) {
-    canonical = buckets;
-    std::sort(canonical.begin(), canonical.end());
-    canonical.erase(std::unique(canonical.begin(), canonical.end()),
-                    canonical.end());
-    needed = &canonical;
-  }
-  int64_t completion = index_end;
-  int64_t data_retries = 0;
-  for (int64_t bucket : *needed) {
-    int64_t attempt_from = index_end;
-    for (;;) {
-      const int64_t slot = schedule.NextBucketSlot(attempt_from, bucket);
-      stats.tuning_time += 1;
-      if (!rng->NextBool(loss_prob)) {
-        completion = std::max(completion, slot + 1);
-        break;
-      }
-      ++data_retries;
-      attempt_from = slot + 1;
-    }
-  }
-  stats.buckets_read = static_cast<int64_t>(needed->size());
-  stats.access_latency = completion - t;
-  if (trace != nullptr) {
-    trace->Span("bcast.data", index_end, completion);
-    trace->Counter("bcast.data_retries", static_cast<double>(data_retries));
-  }
-  return stats;
-}
-
 AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
                             const std::vector<int64_t>& buckets,
                             IndexReadMode index_mode,

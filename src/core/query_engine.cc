@@ -45,6 +45,33 @@ const QueryResultCommon& QueryOutcome::Common() const {
              : static_cast<const QueryResultCommon&>(*window);
 }
 
+namespace {
+
+// Moves `from`'s value into `to` when `to` is empty (a move keeps the
+// vectors' buffers), then disengages `from`.
+template <typename T>
+void MoveStorage(std::optional<T>* from, std::optional<T>* to) {
+  if (!from->has_value()) return;
+  if (!to->has_value()) to->emplace(std::move(**from));
+  from->reset();
+}
+
+}  // namespace
+
+SbnnOutcome& QueryOutcome::UseKnn(int k) {
+  MoveStorage(&window, &parked_window_);
+  MoveStorage(&parked_knn_, &knn);
+  if (!knn.has_value()) knn.emplace(k);
+  return *knn;
+}
+
+SbwqOutcome& QueryOutcome::UseWindow() {
+  MoveStorage(&knn, &parked_knn_);
+  MoveStorage(&parked_window_, &window);
+  if (!window.has_value()) window.emplace();
+  return *window;
+}
+
 QueryEngine::QueryEngine(const broadcast::BroadcastSystem& system,
                          const geom::Rect& world,
                          const EngineOptions& options)
@@ -69,10 +96,6 @@ void QueryEngine::Execute(const QueryRequest& request,
                           QueryOutcome* outcome) const {
   LBSQ_CHECK(outcome != nullptr);
   request.Validate();
-  // Scope the workspace memo to this system and broadcast cycle; within a
-  // cycle, co-located queries share cover and index lookups.
-  workspace.Prepare(system_,
-                    request.slot / system_.schedule().cycle_length());
   outcome->kind = request.kind;
   outcome->regions_rejected = 0;
 
@@ -104,17 +127,13 @@ void QueryEngine::Execute(const QueryRequest& request,
   if (request.kind == QueryKind::kKnn) {
     SbnnOptions sbnn = options_.sbnn;
     if (request.k > 0) sbnn.k = request.k;
-    outcome->window.reset();
-    if (!outcome->knn.has_value()) outcome->knn.emplace(sbnn.k);
     internal::RunSbnn(request.position, sbnn, peers, poi_density_, system_,
                       request.slot, request.trace, session, workspace,
-                      &*outcome->knn);
+                      &outcome->UseKnn(sbnn.k));
   } else {
-    outcome->knn.reset();
-    if (!outcome->window.has_value()) outcome->window.emplace();
     internal::RunSbwq(request.window, options_.sbwq, peers, system_,
                       request.slot, request.trace, session, workspace,
-                      &*outcome->window);
+                      &outcome->UseWindow());
   }
   // The produced knowledge is complete with respect to this system's world
   // epoch; tag it so cross-epoch consumers can revalidate (epoch 0 — the

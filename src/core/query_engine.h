@@ -30,10 +30,11 @@
 ///  - `Execute(request)` — convenience; allocates transient buffers.
 ///  - `Execute(request, workspace, outcome)` / `ExecuteBatch(requests,
 ///    workspace)` — the steady-state path: all scratch comes from the
-///    caller's `QueryWorkspace`, outcomes recycle their storage, and the
-///    workspace's broadcast-cycle memo shares cover/index work between
-///    co-located queries. Zero heap allocations per query once capacities
-///    are warm (fault-free path; bench_batch_throughput verifies).
+///    caller's `QueryWorkspace` and outcomes recycle their storage, across
+///    kNN/window flips too (`QueryOutcome::UseKnn` / `UseWindow`). Zero
+///    heap allocations per query once capacities are warm (fault-free
+///    path; bench_batch_throughput verifies it on a fresh request stream
+///    through one reused outcome and on a replayed batch).
 
 namespace lbsq::core {
 
@@ -109,6 +110,19 @@ struct QueryOutcome {
   /// True when a faulty channel left the answer best-effort (see the
   /// `degraded` field of QueryResultCommon).
   bool Degraded() const { return Common().degraded; }
+
+  /// Engage `knn` (resp. `window`) as the populated kind and disengage the
+  /// other. The other kind's storage is parked inside this outcome rather
+  /// than destroyed, and a later switch back reclaims it, so an outcome
+  /// reused across a mixed kNN/window stream keeps both kinds' buffer
+  /// capacity. The returned outcome holds stale fields; the query run
+  /// resets it.
+  SbnnOutcome& UseKnn(int k);
+  SbwqOutcome& UseWindow();
+
+ private:
+  std::optional<SbnnOutcome> parked_knn_;
+  std::optional<SbwqOutcome> parked_window_;
 };
 
 /// The one validated option set shared by every engine — the single
@@ -160,9 +174,8 @@ class QueryEngine {
   void Execute(const QueryRequest& request, QueryWorkspace& workspace,
                QueryOutcome* outcome) const;
 
-  /// Executes `requests` in order through `workspace`, reusing its
-  /// broadcast-cycle memo across the batch (co-located queries share cover
-  /// and index lookups). Returns a view into the workspace's outcome arena,
+  /// Executes `requests` in order through `workspace`, reusing its scratch
+  /// across the batch. Returns a view into the workspace's outcome arena,
   /// valid until the next ExecuteBatch on the same workspace; outcome i
   /// corresponds to request i and is bit-identical to
   /// `Execute(requests[i])`.

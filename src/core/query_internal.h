@@ -28,8 +28,7 @@
 namespace lbsq::core::internal {
 
 /// Algorithm 2 (SBNN). Resets `*outcome` for `options.k` and fills it;
-/// scratch and the cycle memo come from `workspace` (which must have been
-/// Prepare()d for `system`). Bit-identical to the pre-workspace free
+/// scratch comes from `workspace`. Bit-identical to the pre-workspace free
 /// function for any workspace state.
 void RunSbnn(geom::Point q, const SbnnOptions& options,
              std::span<const PeerData> peers, double poi_density,

@@ -141,14 +141,15 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   }
   radius *= options.prefetch_radius_factor;
 
-  // Same bucket set onair::BucketsForCircle computes, but the cover and the
-  // span lookup come from the cycle memo.
+  // Same bucket set onair::BucketsForCircle computes, built in workspace
+  // scratch.
   const geom::Rect search_mbr = geom::Circle{q, radius}.Mbr();
-  CoverEntry& cover = ws.Cover(system, search_mbr);
-  ws.needed.clear();
-  if (!cover.ranges.empty()) {
-    const std::vector<int64_t>& span = ws.SpanBuckets(system, &cover);
-    ws.needed.assign(span.begin(), span.end());
+  system.grid().CoverRect(search_mbr, &ws.cover);
+  if (ws.cover.empty()) {
+    ws.needed.clear();
+  } else {
+    system.index().BucketsForSpan(ws.cover.front().lo, ws.cover.back().hi,
+                                  &ws.needed);
   }
 
   // Search lower bound: packets fully covered by the circle C_i of radius
@@ -174,7 +175,7 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
       broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
     index_mode = broadcast::IndexReadMode::TreePaths(
-        system.IndexReadBuckets(cover.ranges));
+        system.IndexReadBuckets(ws.cover));
   }
   const std::vector<int64_t>& retrieved =
       RetrieveNeeded(system, now, index_mode, trace, faults, ws, &outcome);

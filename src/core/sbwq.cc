@@ -70,8 +70,7 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     if (trace != nullptr) trace->Counter("sbwq.peers_resolved", 1.0);
   } else {
     // Solve the residual window(s) on air. Without window reduction the
-    // baseline retrieves the whole original window. Covers and the bucket
-    // lookups derived from them come from the cycle memo.
+    // baseline retrieves the whole original window.
     const bool single_span =
         options.retrieval == onair::WindowRetrieval::kSingleSpan;
     const std::span<const geom::Rect> solved =
@@ -83,16 +82,19 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
     ws.needed.clear();
     ws.lookups.clear();
     for (const geom::Rect& rect : solved) {
-      CoverEntry& cover = ws.Cover(system, rect);
+      system.grid().CoverRect(rect, &ws.cover);
       if (tree_index) {
-        ws.lookups.insert(ws.lookups.end(), cover.ranges.begin(),
-                          cover.ranges.end());
+        ws.lookups.insert(ws.lookups.end(), ws.cover.begin(), ws.cover.end());
       }
-      if (cover.ranges.empty()) continue;
-      const std::vector<int64_t>& part = single_span
-                                             ? ws.SpanBuckets(system, &cover)
-                                             : ws.RangeBuckets(system, &cover);
-      ws.needed.insert(ws.needed.end(), part.begin(), part.end());
+      if (ws.cover.empty()) continue;
+      if (single_span) {
+        system.index().BucketsForSpan(ws.cover.front().lo, ws.cover.back().hi,
+                                      &ws.cover_buckets);
+      } else {
+        system.index().BucketsForRanges(ws.cover, &ws.cover_buckets);
+      }
+      ws.needed.insert(ws.needed.end(), ws.cover_buckets.begin(),
+                       ws.cover_buckets.end());
     }
     std::sort(ws.needed.begin(), ws.needed.end());
     ws.needed.erase(std::unique(ws.needed.begin(), ws.needed.end()),

@@ -252,7 +252,7 @@ void ShardedQueryEngine::ExecuteWindow(const QueryRequest& request,
                                        ShardedQueryWorkspace& ws,
                                        QueryOutcome* outcome) const {
   // Route through the curve: the shards owning any cell the window covers.
-  routing_grid_.CoverRect(request.window, &ws.cover_scratch_, &ws.cover_);
+  routing_grid_.CoverRect(request.window, &ws.cover_);
   map_.ShardsTouching(ws.cover_, &ws.touched_);
 
   int lead = -1;

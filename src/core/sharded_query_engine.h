@@ -72,8 +72,7 @@
 namespace lbsq::core {
 
 /// Per-thread scratch for ShardedQueryEngine: one QueryWorkspace per shard
-/// (each shard's covers memoize independently) plus the merge buffers. All
-/// storage is grow-only.
+/// plus the window-routing and merge buffers. All storage is grow-only.
 class ShardedQueryWorkspace {
  public:
   ShardedQueryWorkspace() = default;
@@ -90,7 +89,6 @@ class ShardedQueryWorkspace {
 
   std::vector<std::unique_ptr<QueryWorkspace>> shards_;
   /// Window-routing scratch: the window's Hilbert cover and touched shards.
-  std::vector<uint64_t> cover_scratch_;
   std::vector<hilbert::IndexRange> cover_;
   std::vector<int> touched_;
   /// Partial outcome of each secondary shard (recycled between shards).

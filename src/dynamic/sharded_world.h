@@ -176,8 +176,7 @@ class ShardedWorld {
 
   /// Pins the current epoch, revalidates `peers` against the global update
   /// log, and executes the request on the pinned epoch's sharded engine
-  /// through `workspace` (whose memo re-binds automatically on an epoch
-  /// change).
+  /// through `workspace` (pure scratch, so any epoch may use it).
   ///
   /// `peers` is the host's own mutable peer-knowledge snapshot — the one
   /// place execution edits: regions invalidated by the separating update

@@ -52,8 +52,7 @@ FaultyRetrievalResult ChannelSession::Retrieve(
                                : std::numeric_limits<int64_t>::max();
 
   // Step 1: initial probe (1 slot). Assumed received: every bucket carries
-  // the next-index pointer, so any single good slot suffices — consistent
-  // with RetrieveBucketsLossy.
+  // the next-index pointer, so any single good slot suffices.
   result.stats.tuning_time += 1;
   if (trace != nullptr) trace->Span("bcast.probe", t, t + 1);
 

@@ -11,13 +11,14 @@
 #include "fault/fault_model.h"
 
 /// \file
-/// The client access protocol over a faulty channel. Extends the retry
-/// semantics of `RetrieveBucketsLossy` with burst losses (Gilbert–Elliott),
-/// CRC-detected corruption, and the bounded retry/deadline policy: instead
-/// of retrying forever, the client gives up on buckets whose retry budget or
-/// slot deadline is exhausted and reports them as *failed*, letting the
-/// query layer degrade gracefully (answer from what was received, claim no
-/// verified knowledge it does not have).
+/// The client access protocol over a faulty channel: `RetrieveBuckets` with
+/// per-reception losses (iid or Gilbert–Elliott bursts) and CRC-detected
+/// corruption, each retried at the bucket's next on-air occurrence (wireless
+/// broadcast has no retransmission), under a bounded retry/deadline policy:
+/// instead of retrying forever, the client gives up on buckets whose retry
+/// budget or slot deadline is exhausted and reports them as *failed*,
+/// letting the query layer degrade gracefully (answer from what was
+/// received, claim no verified knowledge it does not have).
 
 namespace lbsq::fault {
 

@@ -97,11 +97,21 @@ class HilbertGrid {
   /// This is the "search-space partition" retrieval set of the on-air window
   /// query; the single [min, max] span of the basic algorithm is the hull of
   /// the returned ranges.
+  ///
+  /// Cost: output-sensitive. The cover descends the curve's quadrant tree:
+  /// a quad inside `query` emits its whole contiguous index run, a disjoint
+  /// one is skipped, and only quads straddling the boundary recurse. That is
+  /// O(perimeter * order) work in cells with O(order) stack, whatever the
+  /// area — a whole-world cover is one range at any order. Both curves use
+  /// the same descent.
   std::vector<IndexRange> CoverRect(const geom::Rect& query) const;
 
   /// Allocation-free variant: clears and fills `*out` (same content as the
-  /// returning overload), using `*scratch` for the cell-index sort. Both
-  /// vectors keep their capacity across calls.
+  /// returning overload); `*out` keeps its capacity across calls.
+  void CoverRect(const geom::Rect& query, std::vector<IndexRange>* out) const;
+
+  /// As above. `scratch` is unused: the descent needs no per-cell buffer.
+  /// Kept so callers written against the enumerating cover still compile.
   void CoverRect(const geom::Rect& query, std::vector<uint64_t>* scratch,
                  std::vector<IndexRange>* out) const;
 

@@ -7,11 +7,13 @@
 
 namespace lbsq::onair {
 
-std::vector<int64_t> BucketsForCircle(
-    const broadcast::BroadcastSystem& system, const geom::Circle& circle,
-    KnnRetrieval retrieval) {
-  const std::vector<hilbert::IndexRange> ranges =
-      system.grid().CoverRect(circle.Mbr());
+namespace {
+
+// The bucket set `retrieval` downloads for a search circle whose MBR has
+// curve cover `ranges`.
+std::vector<int64_t> BucketsForCover(
+    const broadcast::BroadcastSystem& system,
+    const std::vector<hilbert::IndexRange>& ranges, KnnRetrieval retrieval) {
   if (ranges.empty()) return {};
   if (retrieval == KnnRetrieval::kSingleSpan) {
     // Basic algorithm: one contiguous span from the first to the last curve
@@ -20,6 +22,15 @@ std::vector<int64_t> BucketsForCircle(
     return system.index().BucketsForSpan(ranges.front().lo, ranges.back().hi);
   }
   return system.index().BucketsForRanges(ranges);
+}
+
+}  // namespace
+
+std::vector<int64_t> BucketsForCircle(
+    const broadcast::BroadcastSystem& system, const geom::Circle& circle,
+    KnnRetrieval retrieval) {
+  return BucketsForCover(system, system.grid().CoverRect(circle.Mbr()),
+                         retrieval);
 }
 
 OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
@@ -37,11 +48,13 @@ OnAirKnnResult OnAirKnn(const broadcast::BroadcastSystem& system,
   result.search_circle = geom::Circle{q, radius};
 
   // Pass 2 (data retrieval): download the span covering the circle's MBR.
-  result.buckets = BucketsForCircle(system, result.search_circle);
+  const std::vector<hilbert::IndexRange> ranges =
+      system.grid().CoverRect(result.search_circle.Mbr());
+  result.buckets = BucketsForCover(system, ranges, KnnRetrieval::kSingleSpan);
   broadcast::IndexReadMode index_mode = broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
-    index_mode = broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(
-        system.grid().CoverRect(result.search_circle.Mbr())));
+    index_mode =
+        broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(ranges));
   }
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                             result.buckets, index_mode);

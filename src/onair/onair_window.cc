@@ -7,11 +7,14 @@
 
 namespace lbsq::onair {
 
-std::vector<int64_t> BucketsForWindow(const broadcast::BroadcastSystem& system,
-                                      const geom::Rect& window,
-                                      WindowRetrieval retrieval) {
-  const std::vector<hilbert::IndexRange> ranges =
-      system.grid().CoverRect(window);
+namespace {
+
+// The bucket set `retrieval` downloads for a window with curve cover
+// `ranges`.
+std::vector<int64_t> BucketsForCover(
+    const broadcast::BroadcastSystem& system,
+    const std::vector<hilbert::IndexRange>& ranges,
+    WindowRetrieval retrieval) {
   if (ranges.empty()) return {};
   if (retrieval == WindowRetrieval::kSingleSpan) {
     return system.index().BucketsForSpan(ranges.front().lo, ranges.back().hi);
@@ -19,15 +22,25 @@ std::vector<int64_t> BucketsForWindow(const broadcast::BroadcastSystem& system,
   return system.index().BucketsForRanges(ranges);
 }
 
+}  // namespace
+
+std::vector<int64_t> BucketsForWindow(const broadcast::BroadcastSystem& system,
+                                      const geom::Rect& window,
+                                      WindowRetrieval retrieval) {
+  return BucketsForCover(system, system.grid().CoverRect(window), retrieval);
+}
+
 OnAirWindowResult OnAirWindow(const broadcast::BroadcastSystem& system,
                               const geom::Rect& window, int64_t now,
                               WindowRetrieval retrieval) {
   OnAirWindowResult result;
-  result.buckets = BucketsForWindow(system, window, retrieval);
+  const std::vector<hilbert::IndexRange> ranges =
+      system.grid().CoverRect(window);
+  result.buckets = BucketsForCover(system, ranges, retrieval);
   broadcast::IndexReadMode index_mode = broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
-    index_mode = broadcast::IndexReadMode::TreePaths(
-        system.IndexReadBuckets(system.grid().CoverRect(window)));
+    index_mode =
+        broadcast::IndexReadMode::TreePaths(system.IndexReadBuckets(ranges));
   }
   result.stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                             result.buckets, index_mode);

@@ -87,8 +87,8 @@ class ParallelSimulator {
     std::unique_ptr<MobilityModel> mobility;
     std::vector<geom::Point> positions;
     spatial::GridIndex peer_index;
-    /// Per-thread query scratch + broadcast-cycle cover memo; reused by
-    /// every event this worker executes.
+    /// Per-thread query scratch, reused by every event this worker
+    /// executes.
     core::ShardedQueryWorkspace workspace;
 
     Worker(const MobilityModel& proto, const geom::Rect& world,

@@ -79,8 +79,8 @@ struct WindowQueryResult {
 /// conventions.
 ///
 /// Thread-safe: reads only immutable state plus the caller's own
-/// `workspace` — pass one per worker thread to reuse query scratch and the
-/// broadcast-cycle cover memo across events.
+/// `workspace` — pass one per worker thread to reuse query scratch across
+/// events.
 KnnQueryResult ExecuteKnnQuery(const SimConfig& config,
                                const dynamic::ShardedEpoch& epoch,
                                geom::Point pos, int k, int64_t slot,

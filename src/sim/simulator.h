@@ -84,8 +84,8 @@ class Simulator {
   obs::TraceSink* trace_sink_ = nullptr;
   MetricsRegistry* registry_ = nullptr;
   obs::TraceRecorder recorder_;
-  /// Reused query scratch + broadcast-cycle cover memo for every event this
-  /// (single-threaded) engine executes.
+  /// Reused query scratch for every event this (single-threaded) engine
+  /// executes.
   core::ShardedQueryWorkspace workspace_;
 };
 

@@ -189,9 +189,13 @@ TEST(BatchExecTest, BatchMatchesSequentialExecute) {
     SCOPED_TRACE(i);
     ExpectOutcomeEq(sequential[i], batch[i]);
   }
-  // Co-located queries within a cycle must actually share cover work.
-  EXPECT_GT(workspace.memo_size(), 0u);
-  EXPECT_LT(workspace.memo_size(), requests.size());
+  // A warm workspace replaying the batch reproduces it.
+  const std::span<const QueryOutcome> replay =
+      engine.ExecuteBatch(requests, workspace);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    ExpectOutcomeEq(sequential[i], replay[i]);
+  }
 }
 
 TEST(BatchExecTest, BatchMatchesSequentialUnderFaults) {
@@ -312,10 +316,40 @@ TEST(BatchExecTest, WarmWorkspaceAndKindFlipsStayIdentical) {
   }
 }
 
-TEST(BatchExecTest, WorkspaceRebindsToNewEpochAtRecycledAddress) {
-  // The epoch-publish hazard: the next epoch's system is built at the
-  // address of the one it replaces, with the same POI count. Only the epoch
-  // tells a workspace that its memoized bucket lookups are stale.
+TEST(BatchExecTest, ReusedOutcomeKeepsBothKindsStorageAcrossFlips) {
+  // One outcome serving a mixed stream, the way a server worker reuses it.
+  // Every answer must equal a fresh one, and a kind flip must park the
+  // other kind's storage rather than destroy it: capacity reserved in each
+  // kind up front is still there whenever that kind is engaged again.
+  Fixture f(600, /*seed=*/9);
+  const QueryEngine engine(*f.system, kWorld, EngineOptions{});
+  const RequestSet set = MakeRequests(*f.system, 40, /*seed=*/73);
+  constexpr size_t kReserved = 4096;
+  QueryWorkspace workspace;
+  QueryOutcome outcome;
+  outcome.UseWindow().pois.reserve(kReserved);
+  outcome.UseKnn(5).neighbors.reserve(kReserved);
+  int flips = 0;
+  for (size_t i = 0; i < set.requests.size(); ++i) {
+    SCOPED_TRACE(i);
+    const QueryRequest& r = set.requests[i];
+    if (i > 0 && r.kind != set.requests[i - 1].kind) ++flips;
+    engine.Execute(r, workspace, &outcome);
+    ExpectOutcomeEq(engine.Execute(r), outcome);
+    if (r.kind == QueryKind::kKnn) {
+      EXPECT_GE(outcome.knn->neighbors.capacity(), kReserved);
+    } else {
+      EXPECT_GE(outcome.window->pois.capacity(), kReserved);
+    }
+  }
+  EXPECT_GT(flips, 4);
+}
+
+TEST(BatchExecTest, ReusedWorkspaceMatchesFreshAcrossEpochsAndCycles) {
+  // The epoch-publish shape: the next epoch's system is built at the
+  // address of the one it replaces, with the same POI count. A workspace
+  // that served the old epoch must answer the new one exactly as a fresh
+  // workspace does, within one broadcast cycle and across cycles.
   broadcast::BroadcastParams params;
   params.hilbert_order = 6;
   params.bucket_capacity = 4;
@@ -326,8 +360,7 @@ TEST(BatchExecTest, WorkspaceRebindsToNewEpochAtRecycledAddress) {
                  params);
   const broadcast::BroadcastSystem* const address = &*system;
 
-  // Every request lies in broadcast cycle 0 of both epochs, so the cycle
-  // scope alone never clears the memo between them.
+  // Every request lies in broadcast cycle 0 of both epochs.
   auto requests_for = [](const broadcast::BroadcastSystem& s) {
     RequestSet set = MakeRequests(s, 40, /*seed=*/83);
     for (size_t i = 0; i < set.requests.size(); ++i) {
@@ -345,7 +378,6 @@ TEST(BatchExecTest, WorkspaceRebindsToNewEpochAtRecycledAddress) {
     for (const QueryRequest& r : set.requests) {
       engine.Execute(r, workspace, &outcome);
     }
-    ASSERT_GT(workspace.memo_size(), 0u);
   }
 
   system.reset();
@@ -366,19 +398,19 @@ TEST(BatchExecTest, WorkspaceRebindsToNewEpochAtRecycledAddress) {
     engine.Execute(set.requests[i], fresh, &reference);
     ExpectOutcomeEq(reference, reused);
   }
-  EXPECT_EQ(workspace.pinned_epoch(), params.epoch);
 
-  // A request in the next cycle leaves only that cycle's keys memoized.
-  QueryRequest next_cycle = set.requests.front();
-  next_cycle.peers = {};
-  next_cycle.slot = system->schedule().cycle_length();
-  QueryWorkspace next_fresh;
-  engine.Execute(next_cycle, workspace, &reused);
-  engine.Execute(next_cycle, next_fresh, &reference);
-  ExpectOutcomeEq(reference, reused);
-  EXPECT_EQ(workspace.memo_cycle(), 1);
-  EXPECT_GT(next_fresh.memo_size(), 0u);
-  EXPECT_EQ(workspace.memo_size(), next_fresh.memo_size());
+  // The same requests one and two cycles later.
+  for (int64_t cycle = 1; cycle <= 2; ++cycle) {
+    for (size_t i = 0; i < set.requests.size(); ++i) {
+      SCOPED_TRACE(i);
+      QueryRequest later = set.requests[i];
+      later.slot += cycle * system->schedule().cycle_length();
+      QueryWorkspace later_fresh;
+      engine.Execute(later, workspace, &reused);
+      engine.Execute(later, later_fresh, &reference);
+      ExpectOutcomeEq(reference, reused);
+    }
+  }
 }
 
 }  // namespace

@@ -29,7 +29,7 @@
 /// two to agree field for field across index organizations, curves,
 /// retrieval strategies, bucket capacities, honest and corrupted peers and
 /// a lossy channel. They also pin the certificate fallback
-/// (`sbnn.collect_refills`) and the cycle memo's replay.
+/// (`sbnn.collect_refills`) and a reused workspace's replay.
 
 namespace lbsq {
 namespace {
@@ -307,8 +307,8 @@ TEST_P(CollectFilterTest, AnswersMatchTheWholeDownloadOracle) {
                      << "variant=" << variant << " mode="
                      << static_cast<int>(mode) << " i=" << i);
 
-        // First pass through the shared workspace, then again (the memo
-        // now holds this request's cover), then a fresh workspace.
+        // First pass through the shared workspace, then again (its scratch
+        // now holds this request's buffers), then a fresh workspace.
         QueryOutcome first;
         QueryOutcome replay;
         engine.Execute(request, shared, &first);

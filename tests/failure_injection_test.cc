@@ -10,6 +10,7 @@
 #include "core/sbnn.h"
 #include "core/sbwq.h"
 #include "engine_shim.h"
+#include "fault/faulty_channel.h"
 #include "spatial/generators.h"
 
 /// Degenerate and adversarial configurations: peers with nothing useful,
@@ -196,21 +197,32 @@ TEST(FailureInjectionTest, DishonestPeerBreaksVerification) {
 }
 
 TEST(FailureInjectionTest, LossyChannelPreservesExactness) {
-  // Packet loss delays queries but never corrupts results: retries fetch
-  // the same buckets.
+  // Packet loss delays queries but never corrupts results: with an unlimited
+  // retry budget every needed bucket is eventually received, so the payload
+  // a client assembles is the clean one.
   Rng rng(9);
   auto system = MakeSystem(spatial::GenerateUniformPois(&rng, kWorld, 150));
+  const geom::Rect window{5.0, 5.0, 12.0, 12.0};
   const auto needed = onair::BucketsForWindow(
-      *system, geom::Rect{5.0, 5.0, 12.0, 12.0},
-      onair::WindowRetrieval::kSingleSpan);
-  Rng loss_rng(10);
-  const auto stats = broadcast::RetrieveBucketsLossy(
-      system->schedule(), 3, needed, 0.5, &loss_rng);
-  EXPECT_EQ(stats.buckets_read, static_cast<int64_t>(needed.size()));
-  // The payload a client assembles is identical regardless of retries.
-  const auto pois = system->CollectPois(needed);
-  const auto truth = spatial::BruteForceWindow(
-      system->pois(), geom::Rect{5.0, 5.0, 12.0, 12.0});
+      *system, window, onair::WindowRetrieval::kSingleSpan);
+  fault::ChannelFaultConfig channel;
+  channel.model = fault::LossModel::kIid;
+  channel.loss_prob = 0.5;
+  fault::FaultPolicy policy;
+  policy.max_retries_per_bucket = 1 << 20;
+  fault::ChannelSession session(channel, policy, 10);
+  const fault::FaultyRetrievalResult r =
+      session.Retrieve(system->schedule(), 3, needed,
+                       broadcast::IndexReadMode::FlatDirectory());
+  ASSERT_TRUE(r.complete());
+  EXPECT_GT(r.losses, 0);
+  EXPECT_EQ(r.received, needed);
+  EXPECT_EQ(r.stats.buckets_read, static_cast<int64_t>(needed.size()));
+  EXPECT_GE(r.stats.access_latency,
+            broadcast::RetrieveBuckets(system->schedule(), 3, needed)
+                .access_latency);
+  const auto pois = system->CollectPois(r.received);
+  const auto truth = spatial::BruteForceWindow(system->pois(), window);
   for (const auto& t : truth) {
     EXPECT_TRUE(std::any_of(pois.begin(), pois.end(), [&t](const Poi& p) {
       return p.id == t.id;

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "broadcast/client_protocol.h"
 #include "broadcast/schedule.h"
 #include "common/observability.h"
+#include "common/rng.h"
 
 namespace lbsq::fault {
 namespace {
@@ -169,6 +171,96 @@ TEST(ChannelSessionTest, RetryBudgetBoundsDataAttempts) {
     EXPECT_LE(r.stats.tuning_time,
               reliable.tuning_time + 3 + 2 * 3);
   }
+}
+
+// An unlimited retry budget for the iid-loss statistics below: the session
+// then retries until reception, like a client with no deadline.
+FaultPolicy Unbounded() {
+  FaultPolicy policy;
+  policy.max_retries_per_bucket = 1 << 20;
+  return policy;
+}
+
+TEST(ChannelSessionTest, IidZeroLossMatchesRetrieveBuckets) {
+  // With loss probability 0 the session walks the reliable schedule: the
+  // same stats and the same protocol spans, with every fault counter zero.
+  BroadcastSchedule s(40, 3, 4);
+  for (int64_t t = 0; t < s.cycle_length(); t += 7) {
+    ChannelSession session(IidLoss(0.0), FaultPolicy{}, 11);
+    obs::TraceRecorder fault_trace;
+    obs::TraceRecorder reliable_trace;
+    const FaultyRetrievalResult r = session.Retrieve(
+        s, t, {2, 15, 33}, IndexReadMode::FlatDirectory(), &fault_trace);
+    const AccessStats reliable = RetrieveBuckets(
+        s, t, {2, 15, 33}, IndexReadMode::FlatDirectory(), &reliable_trace);
+    ASSERT_TRUE(r.complete());
+    EXPECT_EQ(r.stats.access_latency, reliable.access_latency);
+    EXPECT_EQ(r.stats.tuning_time, reliable.tuning_time);
+    EXPECT_EQ(r.stats.buckets_read, reliable.buckets_read);
+    std::vector<obs::TraceEvent> spans;
+    for (const obs::TraceEvent& e : fault_trace.events()) {
+      if (e.kind == obs::TraceEvent::Kind::kSpan) {
+        spans.push_back(e);
+      } else {
+        EXPECT_EQ(e.value, 0.0) << e.name;
+      }
+    }
+    EXPECT_EQ(spans, reliable_trace.events());
+  }
+}
+
+TEST(ChannelSessionTest, IidLossNeverSpeedsUp) {
+  BroadcastSchedule s(60, 2, 3);
+  Rng rng(2);
+  for (uint64_t trial = 0; trial < 200; ++trial) {
+    const int64_t t = static_cast<int64_t>(
+        rng.NextBelow(static_cast<uint64_t>(s.cycle_length())));
+    ChannelSession session(IidLoss(0.4), Unbounded(), trial);
+    const FaultyRetrievalResult r =
+        session.Retrieve(s, t, {5, 30}, IndexReadMode::FlatDirectory());
+    const AccessStats reliable = RetrieveBuckets(s, t, {5, 30});
+    ASSERT_TRUE(r.complete());
+    EXPECT_GE(r.stats.access_latency, reliable.access_latency);
+    EXPECT_GE(r.stats.tuning_time, reliable.tuning_time);
+  }
+}
+
+TEST(ChannelSessionTest, IidRetriesMatchGeometricExpectation) {
+  // Every reception is Bernoulli(p) lost and retried until received: one
+  // 1-bucket index segment + two data buckets per retrieval, so the extra
+  // tuning slots (retries) average 3 p / (1 - p).
+  BroadcastSchedule s(50, 1, 1);
+  const AccessStats reliable = RetrieveBuckets(s, 0, {10, 40});
+  for (const double p : {0.1, 0.25, 0.5}) {
+    double total_retries = 0.0;
+    const double seeds = 3000.0;
+    for (uint64_t seed = 1; seed <= 3000; ++seed) {
+      ChannelSession session(IidLoss(p), Unbounded(), seed);
+      const FaultyRetrievalResult r =
+          session.Retrieve(s, 0, {10, 40}, IndexReadMode::FlatDirectory());
+      ASSERT_TRUE(r.complete());
+      EXPECT_EQ(r.losses, r.stats.tuning_time - reliable.tuning_time);
+      total_retries +=
+          static_cast<double>(r.stats.tuning_time - reliable.tuning_time);
+    }
+    const double mean_retries = total_retries / seeds;
+    // Var of one geometric retry count is p/(1-p)^2; 3 per trial, so the
+    // standard error over `seeds` trials allows a generous 5-sigma band.
+    const double sigma = std::sqrt(3.0 * p / ((1.0 - p) * (1.0 - p)) / seeds);
+    EXPECT_NEAR(mean_retries, 3.0 * p / (1.0 - p), 5.0 * sigma) << "p=" << p;
+  }
+}
+
+TEST(ChannelSessionTest, IidHighLossStillCompletes) {
+  BroadcastSchedule s(30, 2, 2);
+  ChannelSession session(IidLoss(0.9), Unbounded(), 4);
+  const FaultyRetrievalResult r = session.Retrieve(
+      s, 11, {0, 10, 20, 29}, IndexReadMode::FlatDirectory());
+  ASSERT_TRUE(r.complete());
+  EXPECT_EQ(r.stats.buckets_read, 4);
+  EXPECT_GT(r.losses, 0);
+  EXPECT_GT(r.stats.access_latency, RetrieveBuckets(s, 11, {0, 10, 20, 29})
+                                        .access_latency);
 }
 
 }  // namespace

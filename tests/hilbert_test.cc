@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <vector>
 
 #include "common/rng.h"
 #include "geom/rect.h"
+#include "hilbert/cover_oracle.h"
 
 namespace lbsq::hilbert {
 namespace {
@@ -254,6 +257,145 @@ TEST(HilbertGridTest, ClusteringBeatsRowMajorOrder) {
     }
   }
   EXPECT_LT(hilbert_total / windows, rowmajor_total / windows);
+}
+
+// --- Quadrant-descent cover vs the enumerate-and-sort oracle. ---
+
+std::vector<IndexRange> OracleCover(const HilbertGrid& grid,
+                                    const geom::Rect& query) {
+  std::vector<uint64_t> cells;
+  std::vector<IndexRange> ranges;
+  CoverRectByEnumeration(grid, query, &cells, &ranges);
+  return ranges;
+}
+
+constexpr CurveKind kCurves[] = {CurveKind::kHilbert, CurveKind::kMorton};
+
+TEST(CoverDescentTest, EveryCellBoxMatchesOracleThroughOrder5) {
+  // Unit cells over [0, 2^order]^2: the query inset a quarter cell from the
+  // cell box [x1, x2] x [y1, y2] has exactly that box as its corner cells.
+  // Every box of every grid, both curves.
+  std::vector<IndexRange> got;
+  std::vector<uint64_t> unused;
+  int64_t checked = 0;
+  for (const CurveKind curve : kCurves) {
+    for (int order = 1; order <= 5; ++order) {
+      const uint32_t n = 1u << order;
+      const HilbertGrid grid(geom::Rect{0.0, 0.0, double(n), double(n)}, order,
+                             curve);
+      for (uint32_t x1 = 0; x1 < n; ++x1) {
+        for (uint32_t x2 = x1; x2 < n; ++x2) {
+          for (uint32_t y1 = 0; y1 < n; ++y1) {
+            for (uint32_t y2 = y1; y2 < n; ++y2) {
+              const geom::Rect query{x1 + 0.25, y1 + 0.25, x2 + 0.75,
+                                     y2 + 0.75};
+              grid.CoverRect(query, &unused, &got);
+              ASSERT_EQ(got, OracleCover(grid, query))
+                  << "order " << order << " curve " << int(curve) << " box ["
+                  << x1 << "," << x2 << "]x[" << y1 << "," << y2 << "]";
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 2 * (9 + 100 + 1296 + 18496 + 278784));
+}
+
+TEST(CoverDescentTest, RandomDegenerateAndOutsideRectsMatchOracle) {
+  Rng rng(41);
+  const geom::Rect world{-3.0, 5.0, 13.0, 9.0};  // non-square, off-origin
+  for (const CurveKind curve : kCurves) {
+    for (int order = 1; order <= 8; ++order) {
+      const HilbertGrid grid(world, order, curve);
+      auto coord = [&](double lo, double hi) {
+        // Reach well past the world on both sides.
+        const double span = hi - lo;
+        return rng.Uniform(lo - 0.5 * span, hi + 0.5 * span);
+      };
+      for (int trial = 0; trial < 1000; ++trial) {
+        geom::Point a{coord(world.x1, world.x2), coord(world.y1, world.y2)};
+        geom::Point b{coord(world.x1, world.x2), coord(world.y1, world.y2)};
+        switch (trial % 4) {
+          case 1:
+            b = a;  // a point
+            break;
+          case 2:
+            b.y = a.y;  // a horizontal line
+            break;
+          case 3:
+            b.x = a.x;  // a vertical line
+            break;
+          default:
+            break;
+        }
+        const geom::Rect query = geom::Rect::FromCorners(a, b);
+        ASSERT_EQ(grid.CoverRect(query), OracleCover(grid, query))
+            << "order " << order << " trial " << trial;
+      }
+      // Outside the world on every side, and the whole world and beyond.
+      for (const geom::Rect& query :
+           {geom::Rect{-9.0, 5.0, -3.5, 9.0}, geom::Rect{13.5, 5.0, 20.0, 9.0},
+            geom::Rect{-3.0, 0.0, 13.0, 4.9}, geom::Rect{-3.0, 9.1, 13.0, 20.0},
+            world, geom::Rect{-100.0, -100.0, 100.0, 100.0}}) {
+        const std::vector<IndexRange> got = grid.CoverRect(query);
+        ASSERT_EQ(got, OracleCover(grid, query)) << "order " << order;
+        if (world.Intersects(query)) {
+          ASSERT_EQ(got.size(), 1u);
+          EXPECT_EQ(got[0], (IndexRange{0, grid.num_cells() - 1}));
+        } else {
+          EXPECT_TRUE(got.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(CoverDescentTest, WholeWorldAtOrder31IsOneRange) {
+  // 2^62 cells: enumeration could never finish; the descent emits the root.
+  for (const CurveKind curve : kCurves) {
+    const HilbertGrid grid(geom::Rect{0.0, 0.0, 1.0, 1.0}, 31, curve);
+    const std::vector<IndexRange> got =
+        grid.CoverRect(geom::Rect{-1.0, -1.0, 2.0, 2.0});
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], (IndexRange{0, (uint64_t{1} << 62) - 1}));
+  }
+}
+
+TEST(CoverDescentTest, OneCellStripAtOrder20IsFastAndExact) {
+  // A strip one cell thick across the whole world: 2^20 cells to enumerate,
+  // O(order) quads per cell of perimeter for the descent.
+  const int order = 20;
+  const double n = double(1u << order);
+  for (const CurveKind curve : kCurves) {
+    const HilbertGrid grid(geom::Rect{0.0, 0.0, n, n}, order, curve);
+    const geom::Rect strip{0.0, 777.25, n, 777.75};
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<IndexRange> got = grid.CoverRect(strip);
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+    // The output alone is ~2^19 ranges (tens of ms in an optimized build);
+    // the bound leaves room for sanitizer builds. Enumeration would encode
+    // and sort 2^20 cells.
+    EXPECT_LT(ms, 2000.0);
+    uint64_t cells = 0;
+    for (size_t i = 0; i < got.size(); ++i) {
+      cells += got[i].hi - got[i].lo + 1;
+      if (i > 0) {
+        EXPECT_GT(got[i].lo, got[i - 1].hi + 1);
+      }
+    }
+    EXPECT_EQ(cells, uint64_t{1} << order);
+    // Disjoint ranges holding 2^order cells, each in row 777: exactly the
+    // strip.
+    for (const IndexRange& r : got) {
+      for (uint64_t d = r.lo; d <= r.hi; ++d) {
+        ASSERT_EQ(grid.ToXy(d).y, 777u);
+      }
+    }
+  }
 }
 
 }  // namespace
