@@ -24,8 +24,11 @@
 // It also times ratios of two implementations on the same machine: the
 // Hilbert cover by quadrant descent against the enumerate-and-sort cover
 // it replaced (`cover_descent_vs_enumerate_speedup`, on the replay
-// stream's own cover rectangles) and each SIMD kernel's scalar tier
-// against the active tier (`kernel_*_speedup`).
+// stream's own cover rectangles), retrieval over bucket-id runs against
+// the bucket-by-bucket retrieval it replaced
+// (`retrieve_runs_vs_per_bucket_speedup`, on the replay stream's own
+// downloads) and each SIMD kernel's scalar tier against the active tier
+// (`kernel_*_speedup`).
 //
 // Writes the results to BENCH_core.json (see --out). With --baseline=<file>
 // it instead compares every measured ratio against the checked-in
@@ -66,6 +69,8 @@
 #endif
 
 #include "alloc_counter.h"
+#include "broadcast/client_protocol.h"
+#include "broadcast/retrieve_oracle.h"
 #include "broadcast/system.h"
 #include "common/rng.h"
 #include "core/query_engine.h"
@@ -260,12 +265,24 @@ struct CoverRow {
   double speedup = 0.0;       // enumerate_ns / descent_ns
 };
 
+// Retrieval over a download's bucket-id runs against the bucket-by-bucket
+// reference, on the same downloads: a ratio of two timings on one machine.
+struct RetrieveRow {
+  int downloads = 0;
+  double buckets_per_download = 0.0;
+  double runs_per_download = 0.0;
+  double runs_ns = 0.0;        // per retrieval
+  double per_bucket_ns = 0.0;  // per retrieval
+  double speedup = 0.0;        // per_bucket_ns / runs_ns
+};
+
 struct BenchResult {
   int warm_requests = 0;
   int counted_requests = 0;
   double replay_allocs_per_query = 0.0;
   double hotspot_allocs_per_query = 0.0;
   CoverRow cover;
+  RetrieveRow retrieve;
   std::vector<KernelRow> kernels;
 };
 
@@ -473,6 +490,76 @@ CoverRow RunCoverBench(const core::QueryEngine& engine,
   return row;
 }
 
+// The downloads `requests` make (each broadcast answer's bucket runs, at
+// its own slot), retrieved over runs and bucket by bucket. Interleaved
+// best-of-rounds blocks, as for the cover.
+RetrieveRow RunRetrieveBench(const core::QueryEngine& engine,
+                             const broadcast::BroadcastSystem& system,
+                             std::span<const core::QueryRequest> requests) {
+  const int rounds = FastMode() ? 10 : 60;
+  const broadcast::BroadcastSchedule& schedule = system.schedule();
+  struct Download {
+    int64_t slot = 0;
+    broadcast::BucketRuns runs;
+    std::vector<int64_t> ids;
+  };
+  std::vector<Download> downloads;
+  core::QueryWorkspace workspace;
+  core::QueryOutcome outcome;
+  double buckets = 0.0;
+  double runs = 0.0;
+  for (const core::QueryRequest& r : requests) {
+    engine.Execute(r, workspace, &outcome);
+    if (outcome.ResolvedByPeers()) continue;
+    Download d;
+    d.slot = r.slot;
+    d.runs = outcome.Common().buckets;
+    d.ids = d.runs.ToIds();
+    const broadcast::AccessStats a =
+        broadcast::RetrieveBuckets(schedule, d.slot, d.runs);
+    const broadcast::AccessStats b =
+        broadcast::RetrieveBucketsPerBucket(schedule, d.slot, d.ids);
+    if (a.access_latency != b.access_latency ||
+        a.tuning_time != b.tuning_time || a.buckets_read != b.buckets_read) {
+      std::fprintf(stderr,
+                   "FATAL: run retrieval differs from per-bucket retrieval\n");
+      std::exit(1);
+    }
+    buckets += static_cast<double>(d.ids.size());
+    runs += static_cast<double>(d.runs.runs().size());
+    downloads.push_back(std::move(d));
+  }
+  RetrieveRow row;
+  row.downloads = static_cast<int>(downloads.size());
+  if (downloads.empty()) {
+    std::fprintf(stderr, "FATAL: no broadcast downloads to time\n");
+    std::exit(1);
+  }
+  row.buckets_per_download = buckets / row.downloads;
+  row.runs_per_download = runs / row.downloads;
+  double best[2] = {1e300, 1e300};
+  int64_t sink = 0;
+  for (int round = 0; round < rounds; ++round) {
+    auto start = std::chrono::steady_clock::now();
+    for (const Download& d : downloads) {
+      sink += broadcast::RetrieveBuckets(schedule, d.slot, d.runs)
+                  .access_latency;
+    }
+    best[0] = std::min(best[0], SecondsSince(start));
+    start = std::chrono::steady_clock::now();
+    for (const Download& d : downloads) {
+      sink += broadcast::RetrieveBucketsPerBucket(schedule, d.slot, d.ids)
+                  .access_latency;
+    }
+    best[1] = std::min(best[1], SecondsSince(start));
+  }
+  if (sink == 0) std::exit(1);  // keeps the timed loops observable
+  row.runs_ns = best[0] * 1e9 / row.downloads;
+  row.per_bucket_ns = best[1] * 1e9 / row.downloads;
+  row.speedup = row.per_bucket_ns / row.runs_ns;
+  return row;
+}
+
 // Runs `fn` and returns the heap allocations it made. With LBSQ_DBG set,
 // each of them also prints a backtrace to stderr; symbolize it with
 // `addr2line -e <binary> -f -C <offsets>`.
@@ -586,10 +673,11 @@ BenchResult RunBench(bool via_store) {
   }
 
   constexpr size_t kCoverRequests = 512;
-  result.cover = RunCoverBench(
-      engine, system,
+  const std::span<const core::QueryRequest> timed =
       std::span<const core::QueryRequest>(replay.requests)
-          .first(kCoverRequests));
+          .first(kCoverRequests);
+  result.cover = RunCoverBench(engine, system, timed);
+  result.retrieve = RunRetrieveBench(engine, system, timed);
   return result;
 }
 
@@ -619,6 +707,12 @@ void WriteJson(const BenchResult& r, const std::string& path) {
                "  \"cover_descent_ns\": %.1f,\n"
                "  \"cover_enumerate_ns\": %.1f,\n"
                "  \"cover_descent_vs_enumerate_speedup\": %.4f,\n"
+               "  \"retrieve_downloads\": %d,\n"
+               "  \"retrieve_buckets_per_download\": %.1f,\n"
+               "  \"retrieve_runs_per_download\": %.2f,\n"
+               "  \"retrieve_runs_ns\": %.1f,\n"
+               "  \"retrieve_per_bucket_ns\": %.1f,\n"
+               "  \"retrieve_runs_vs_per_bucket_speedup\": %.4f,\n"
                "  \"simd_tier\": \"%s\",\n"
                "  \"simd_tier_id\": %d",
                kPoiNumber, kWorldSide, kKnnK, kWindowPct, r.warm_requests,
@@ -626,8 +720,10 @@ void WriteJson(const BenchResult& r, const std::string& path) {
                r.hotspot_allocs_per_query,
                kAllocCountingEnabled ? "true" : "false", r.cover.rects,
                r.cover.cells_per_rect, r.cover.descent_ns,
-               r.cover.enumerate_ns, r.cover.speedup,
-               kernels::TierName(kernels::ActiveTier()),
+               r.cover.enumerate_ns, r.cover.speedup, r.retrieve.downloads,
+               r.retrieve.buckets_per_download, r.retrieve.runs_per_download,
+               r.retrieve.runs_ns, r.retrieve.per_bucket_ns,
+               r.retrieve.speedup, kernels::TierName(kernels::ActiveTier()),
                static_cast<int>(kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {
     std::fprintf(f,
@@ -704,6 +800,11 @@ int main(int argc, char** argv) {
               "%7.1f ns enumerate (%.2fx)\n",
               r.cover.rects, r.cover.cells_per_rect, r.cover.descent_ns,
               r.cover.enumerate_ns, r.cover.speedup);
+  std::printf("  retrieve (%d downloads, %.0f buckets in %.1f runs each): "
+              "%7.1f ns runs, %7.1f ns per bucket (%.2fx)\n",
+              r.retrieve.downloads, r.retrieve.buckets_per_download,
+              r.retrieve.runs_per_download, r.retrieve.runs_ns,
+              r.retrieve.per_bucket_ns, r.retrieve.speedup);
   std::printf("  SIMD dispatch tier: %s\n",
               lbsq::kernels::TierName(lbsq::kernels::ActiveTier()));
   for (const KernelRow& k : r.kernels) {
@@ -724,28 +825,37 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    // Cover gate: descent/enumeration ratio, the same 25% rule as the
-    // kernel rows. Both covers run on this machine, so the ratio transfers.
-    double baseline_cover = 0.0;
-    if (!ReadJsonNumber(baseline_path, "cover_descent_vs_enumerate_speedup",
-                        &baseline_cover) ||
-        baseline_cover <= 0.0) {
-      std::fprintf(stderr,
-                   "FAIL: no usable \"cover_descent_vs_enumerate_speedup\" "
-                   "in baseline %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    const double floor = baseline_cover * (1.0 - max_regression);
-    std::printf("  baseline cover    : %10.2fx (floor %.2fx at %.0f%% "
-                "tolerance)\n",
-                baseline_cover, floor, max_regression * 100.0);
-    if (r.cover.speedup < floor) {
-      std::fprintf(stderr,
-                   "FAIL: cover descent speedup %.2fx regressed more than "
-                   "%.0f%% below baseline %.2fx\n",
-                   r.cover.speedup, max_regression * 100.0, baseline_cover);
-      return 1;
+    // Cover and retrieval gates: descent/enumeration and runs/per-bucket
+    // ratios, the same 25% rule as the kernel rows. Both sides of each run
+    // on this machine, so the ratios transfer.
+    const struct {
+      const char* key;
+      const char* label;
+      double speedup;
+    } ratios[] = {
+        {"cover_descent_vs_enumerate_speedup", "cover descent",
+         r.cover.speedup},
+        {"retrieve_runs_vs_per_bucket_speedup", "run retrieval",
+         r.retrieve.speedup},
+    };
+    for (const auto& ratio : ratios) {
+      double base = 0.0;
+      if (!ReadJsonNumber(baseline_path, ratio.key, &base) || base <= 0.0) {
+        std::fprintf(stderr, "FAIL: no usable \"%s\" in baseline %s\n",
+                     ratio.key, baseline_path.c_str());
+        return 1;
+      }
+      const double floor = base * (1.0 - max_regression);
+      std::printf("  baseline %-13s: %8.2fx (floor %.2fx at %.0f%% "
+                  "tolerance)\n",
+                  ratio.label, base, floor, max_regression * 100.0);
+      if (ratio.speedup < floor) {
+        std::fprintf(stderr,
+                     "FAIL: %s speedup %.2fx regressed more than %.0f%% "
+                     "below baseline %.2fx\n",
+                     ratio.label, ratio.speedup, max_regression * 100.0, base);
+        return 1;
+      }
     }
     // Kernel gates: scalar/active ratios, compared only when the baseline
     // ran at the same dispatch tier (on a lesser CPU the ratio is expected

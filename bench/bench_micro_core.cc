@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "broadcast/client_protocol.h"
+#include "broadcast/retrieve_oracle.h"
 #include "broadcast/system.h"
 #include "broadcast/wire.h"
 #include "common/rng.h"
@@ -337,6 +339,48 @@ void BM_BucketsForSpan(benchmark::State& state) {
   state.SetLabel(std::to_string(index.bucket_ranges().size()) + " buckets");
 }
 BENCHMARK(BM_BucketsForSpan)->Arg(0)->Arg(1);
+
+// Retrieval of one such span's download at a random start slot: over its
+// bucket-id run (range(1) = 0) and bucket by bucket, as before runs
+// (range(1) = 1).
+void BM_RetrieveBuckets(benchmark::State& state) {
+  const AirIndexFixture fx(static_cast<int>(state.range(0)));
+  const bool per_bucket = state.range(1) == 1;
+  const broadcast::BroadcastSchedule& schedule = fx.system->schedule();
+  const uint64_t cells = fx.system->grid().num_cells();
+  Rng rng(5);
+  struct Download {
+    int64_t slot;
+    broadcast::BucketRuns runs;
+    std::vector<int64_t> ids;
+  };
+  std::vector<Download> downloads;
+  for (int i = 0; i < 1024; ++i) {
+    const uint64_t lo = rng.NextBelow(cells);
+    Download d;
+    d.slot = static_cast<int64_t>(
+        rng.NextBelow(static_cast<uint64_t>(4 * schedule.cycle_length())));
+    fx.system->index().BucketsForSpan(lo, lo + cells / 256, &d.runs);
+    d.ids = d.runs.ToIds();
+    downloads.push_back(std::move(d));
+  }
+  size_t i = 0;
+  int64_t buckets = 0;
+  for (auto _ : state) {
+    const Download& d = downloads[i++ % downloads.size()];
+    const broadcast::AccessStats stats =
+        per_bucket
+            ? broadcast::RetrieveBucketsPerBucket(schedule, d.slot, d.ids)
+            : broadcast::RetrieveBuckets(schedule, d.slot, d.runs);
+    buckets += stats.buckets_read;
+    benchmark::DoNotOptimize(stats.access_latency);
+  }
+  state.counters["buckets_per_retrieval"] = benchmark::Counter(
+      static_cast<double>(buckets), benchmark::Counter::kAvgIterations);
+  state.SetLabel(per_bucket ? "per bucket" : "runs");
+}
+BENCHMARK(BM_RetrieveBuckets)->Args({0, 0})->Args({0, 1})->Args({1, 0})
+    ->Args({1, 1});
 
 // Ablation: single-span vs partitioned window retrieval volumes.
 void BM_WindowRetrieval(benchmark::State& state) {

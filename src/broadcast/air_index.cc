@@ -106,19 +106,20 @@ double GatherKth(const hilbert::HilbertGrid& grid, const AirIndex& index,
   return distances[kth];
 }
 
-// Appends the ids of the buckets meeting [lo, hi] to `*out`, skipping ids
-// not above out->back(). Bucket ranges are non-decreasing in both lo and hi
-// (one Hilbert-sorted run cut into buckets), so those buckets are one
-// contiguous id run: the first with hi >= lo, through the last with lo <= hi.
+// Adds the buckets meeting [lo, hi] to `*out`. Bucket ranges are
+// non-decreasing in both lo and hi (one Hilbert-sorted run cut into
+// buckets), so those buckets are one contiguous id run: the first with
+// hi >= lo, through the last with lo <= hi. Two binary searches.
 void AppendBucketsForSpan(const std::vector<hilbert::IndexRange>& ranges,
-                          uint64_t lo, uint64_t hi, std::vector<int64_t>* out) {
-  auto it = std::partition_point(
+                          uint64_t lo, uint64_t hi, BucketRuns* out) {
+  const auto first = std::partition_point(
       ranges.begin(), ranges.end(),
       [lo](const hilbert::IndexRange& r) { return r.hi < lo; });
-  for (; it != ranges.end() && it->lo <= hi; ++it) {
-    const int64_t id = it - ranges.begin();
-    if (out->empty() || out->back() < id) out->push_back(id);
-  }
+  const auto end = std::partition_point(
+      first, ranges.end(),
+      [hi](const hilbert::IndexRange& r) { return r.lo <= hi; });
+  if (first == end) return;
+  out->Append(first - ranges.begin(), (end - ranges.begin()) - 1);
 }
 
 }  // namespace
@@ -236,29 +237,30 @@ double AirIndex::KthDistanceUpperBound(geom::Point q, int k,
 }
 
 std::vector<int64_t> AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi) const {
-  std::vector<int64_t> out;
-  BucketsForSpan(lo, hi, &out);
-  return out;
+  BucketRuns runs;
+  BucketsForSpan(lo, hi, &runs);
+  return runs.ToIds();
 }
 
 void AirIndex::BucketsForSpan(uint64_t lo, uint64_t hi,
-                              std::vector<int64_t>* out) const {
+                              BucketRuns* out) const {
   out->clear();
   AppendBucketsForSpan(bucket_ranges_, lo, hi, out);
 }
 
 std::vector<int64_t> AirIndex::BucketsForRanges(
     const std::vector<hilbert::IndexRange>& ranges) const {
-  std::vector<int64_t> out;
-  BucketsForRanges(ranges, &out);
-  return out;
+  BucketRuns runs;
+  BucketsForRanges(ranges, &runs);
+  return runs.ToIds();
 }
 
 void AirIndex::BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
-                                std::vector<int64_t>* out) const {
+                                BucketRuns* out) const {
   out->clear();
   for (size_t i = 0; i < ranges.size(); ++i) {
-    // Ascending starts keep each run's ids ascending past out->back().
+    // Ascending starts give each range's run a start no lower than the
+    // previous run's, so the runs merge as they are appended.
     LBSQ_CHECK(i == 0 || ranges[i - 1].lo <= ranges[i].lo);
     AppendBucketsForSpan(bucket_ranges_, ranges[i].lo, ranges[i].hi, out);
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/bucket_runs.h"
 #include "broadcast/packet.h"
 #include "geom/point.h"
 #include "hilbert/hilbert.h"
@@ -86,26 +87,25 @@ class AirIndex {
 
   /// Ids of the buckets whose Hilbert range intersects [lo, hi], ascending.
   /// Bucket ranges are non-decreasing in both ends (checked at
-  /// construction), so the answer is one contiguous id run found by binary
-  /// search: O(log B + answer) for B buckets.
+  /// construction), so the answer is one contiguous id run found by two
+  /// binary searches: O(log B) for B buckets.
   std::vector<int64_t> BucketsForSpan(uint64_t lo, uint64_t hi) const;
 
-  /// Allocation-free BucketsForSpan: clears and fills `*out`, which keeps
-  /// its capacity across calls.
-  void BucketsForSpan(uint64_t lo, uint64_t hi,
-                      std::vector<int64_t>* out) const;
+  /// BucketsForSpan as a run set: clears `*out` and adds the (at most one)
+  /// run. Allocation-free once `*out` is warm.
+  void BucketsForSpan(uint64_t lo, uint64_t hi, BucketRuns* out) const;
 
   /// Ids of the buckets whose Hilbert range intersects any of `ranges`
   /// (ranges with ascending starts, as produced by HilbertGrid::CoverRect;
-  /// checked). Deduplicated, ascending. One BucketsForSpan run per range:
-  /// O(ranges * log B + answer).
+  /// checked). Deduplicated, ascending. One span run per range, merged:
+  /// O(ranges * log B).
   std::vector<int64_t> BucketsForRanges(
       const std::vector<hilbert::IndexRange>& ranges) const;
 
-  /// Allocation-free BucketsForRanges: clears and fills `*out`, which keeps
-  /// its capacity across calls.
+  /// BucketsForRanges as a run set: clears and fills `*out`.
+  /// Allocation-free once `*out` is warm.
   void BucketsForRanges(const std::vector<hilbert::IndexRange>& ranges,
-                        std::vector<int64_t>* out) const;
+                        BucketRuns* out) const;
 
  private:
   const hilbert::HilbertGrid* grid_;

@@ -1,27 +1,11 @@
 #include "broadcast/client_protocol.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "kernels/kernels.h"
 
 namespace lbsq::broadcast {
 
-namespace {
-
-// True when `buckets` is already sorted with no adjacent duplicates, in
-// which case the retrieval loops can walk the caller's vector directly
-// instead of copying it. The query engine always passes canonical lists, so
-// this vectorized scan is the common case and the copy below is cold-path
-// only.
-bool IsSortedUnique(const std::vector<int64_t>& buckets) {
-  return kernels::IsSortedUniqueI64(buckets.data(), buckets.size());
-}
-
-}  // namespace
-
 AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
-                            const std::vector<int64_t>& buckets,
+                            const BucketRuns& buckets,
                             IndexReadMode index_mode,
                             obs::TraceRecorder* trace) {
   LBSQ_CHECK(t >= 0);
@@ -43,26 +27,32 @@ AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
   stats.tuning_time += index_read_buckets;
   if (trace != nullptr) trace->Span("bcast.index", index_start, index_end);
 
-  // Step 3: data retrieval.
-  std::vector<int64_t> canonical;
-  const std::vector<int64_t>* needed = &buckets;
-  if (!IsSortedUnique(buckets)) {
-    canonical = buckets;
-    std::sort(canonical.begin(), canonical.end());
-    canonical.erase(std::unique(canonical.begin(), canonical.end()),
-                    canonical.end());
-    needed = &canonical;
-  }
+  // Step 3: data retrieval. The buckets airing before index_end's in-cycle
+  // offset next air a cycle later, after every other one; the last of the
+  // download to arrive is the largest of those, else the largest overall.
   int64_t completion = index_end;
-  for (int64_t bucket : *needed) {
-    completion =
-        std::max(completion, schedule.NextBucketSlot(index_end, bucket) + 1);
+  if (!buckets.empty()) {
+    LBSQ_CHECK(buckets.front() >= 0);
+    const int64_t wrapped =
+        buckets.LastBefore(schedule.FirstBucketAiringFrom(index_end));
+    completion = schedule.NextBucketSlot(
+                     index_end, wrapped >= 0 ? wrapped : buckets.back()) +
+                 1;
   }
-  stats.tuning_time += static_cast<int64_t>(needed->size());
-  stats.buckets_read = static_cast<int64_t>(needed->size());
+  const int64_t count = buckets.count();
+  stats.tuning_time += count;
+  stats.buckets_read = count;
   stats.access_latency = completion - t;
   if (trace != nullptr) trace->Span("bcast.data", index_end, completion);
   return stats;
+}
+
+AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
+                            const std::vector<int64_t>& buckets,
+                            IndexReadMode index_mode,
+                            obs::TraceRecorder* trace) {
+  return RetrieveBuckets(schedule, t, BucketRuns::FromIds(buckets),
+                         index_mode, trace);
 }
 
 }  // namespace lbsq::broadcast

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/bucket_runs.h"
 #include "broadcast/schedule.h"
 #include "common/observability.h"
 
@@ -63,8 +64,7 @@ struct IndexReadMode {
   }
 };
 
-/// Simulates retrieving `buckets` (data bucket ids, duplicates allowed)
-/// starting at slot `t`:
+/// Simulates retrieving the data buckets `buckets` starting at slot `t`:
 ///  1. initial probe: listen to the current slot to learn the offset of the
 ///     next index segment (1 slot of tuning);
 ///  2. index search: doze until the segment starts, then read the part of it
@@ -73,12 +73,26 @@ struct IndexReadMode {
 ///     dozes between path buckets; data retrieval still begins at the end of
 ///     the segment);
 ///  3. data retrieval: doze between needed buckets, waking for each (1 slot
-///     of tuning per distinct bucket).
+///     of tuning per bucket).
 /// With an empty bucket set the client still pays steps 1-2 (it cannot know
 /// the set is empty without the index).
 ///
+/// Cost: O(log m + log runs), whatever the number of buckets. The tuning
+/// time and `buckets_read` come from the run lengths, and the completion
+/// slot from one search: in-cycle slots rise with the bucket id, so the
+/// last bucket to arrive is the last needed one that airs before the index
+/// segment ends within its cycle (it waits for the next cycle) or, when
+/// none does, the last needed bucket overall.
+///
 /// A non-null `trace` receives one span per protocol stage (`bcast.probe`,
 /// `bcast.index`, `bcast.data`, in slots).
+AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
+                            const BucketRuns& buckets,
+                            IndexReadMode index_mode = IndexReadMode{},
+                            obs::TraceRecorder* trace = nullptr);
+
+/// RetrieveBuckets over bucket ids (any order, duplicates allowed): the
+/// runs overload applied to `BucketRuns::FromIds(buckets)`.
 AccessStats RetrieveBuckets(const BroadcastSchedule& schedule, int64_t t,
                             const std::vector<int64_t>& buckets,
                             IndexReadMode index_mode = IndexReadMode{},

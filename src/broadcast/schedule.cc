@@ -26,11 +26,8 @@ int64_t BroadcastSchedule::SegmentStart(int64_t j) const {
   return j * index_len_ + ChunkBegin(j);
 }
 
-BroadcastSchedule::Slot BroadcastSchedule::SlotAt(int64_t t) const {
-  LBSQ_CHECK(t >= 0);
-  const int64_t offset = t % cycle_;
-  // Find the segment j this offset falls into: largest j with
-  // SegmentStart(j) <= offset.
+int64_t BroadcastSchedule::SegmentAt(int64_t offset) const {
+  // Largest j with SegmentStart(j) <= offset.
   int64_t lo = 0, hi = m_ - 1;
   while (lo < hi) {
     const int64_t mid = (lo + hi + 1) / 2;
@@ -40,11 +37,29 @@ BroadcastSchedule::Slot BroadcastSchedule::SlotAt(int64_t t) const {
       hi = mid - 1;
     }
   }
-  const int64_t within = offset - SegmentStart(lo);
+  return lo;
+}
+
+BroadcastSchedule::Slot BroadcastSchedule::SlotAt(int64_t t) const {
+  LBSQ_CHECK(t >= 0);
+  const int64_t offset = t % cycle_;
+  const int64_t j = SegmentAt(offset);
+  const int64_t within = offset - SegmentStart(j);
   if (within < index_len_) {
     return Slot{Slot::Kind::kIndex, within};
   }
-  return Slot{Slot::Kind::kData, ChunkBegin(lo) + (within - index_len_)};
+  return Slot{Slot::Kind::kData, ChunkBegin(j) + (within - index_len_)};
+}
+
+int64_t BroadcastSchedule::FirstBucketAiringFrom(int64_t t) const {
+  LBSQ_CHECK(t >= 0);
+  const int64_t offset = t % cycle_;
+  const int64_t j = SegmentAt(offset);
+  const int64_t within = offset - SegmentStart(j);
+  // Inside index segment j the next data bucket on the air opens chunk j;
+  // inside chunk j it is the bucket on the air.
+  if (within < index_len_) return ChunkBegin(j);
+  return ChunkBegin(j) + (within - index_len_);
 }
 
 int64_t BroadcastSchedule::NextIndexSegmentStart(int64_t t) const {

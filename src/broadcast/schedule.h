@@ -51,7 +51,17 @@ class BroadcastSchedule {
   /// NextBucketSlot(t, bucket) + 1.
   int64_t NextBucketSlot(int64_t t, int64_t bucket) const;
 
+  /// The smallest data bucket id whose in-cycle slot is at or after the
+  /// in-cycle offset of slot `t`, or num_data_buckets() when none is. In-cycle
+  /// slots rise with the bucket id, so from `t` on the buckets below this id
+  /// next air in the following cycle and the others in the current one:
+  /// NextBucketSlot(t, b) is increasing in b on each side of it.
+  int64_t FirstBucketAiringFrom(int64_t t) const;
+
  private:
+  /// The index segment whose stretch of the cycle (the segment and its data
+  /// chunk) holds in-cycle offset `offset`.
+  int64_t SegmentAt(int64_t offset) const;
   /// Slot offset (within a cycle) at which index segment `j` begins.
   int64_t SegmentStart(int64_t j) const;
   /// First data bucket of chunk `j` (chunks are as even as possible).

@@ -4,7 +4,6 @@
 #include <cstddef>
 
 #include "common/check.h"
-#include "kernels/kernels.h"
 
 namespace lbsq::broadcast {
 
@@ -96,50 +95,36 @@ int64_t BroadcastSystem::IndexReadBuckets(
 std::vector<spatial::Poi> BroadcastSystem::CollectPois(
     const std::vector<int64_t>& bucket_ids) const {
   std::vector<spatial::Poi> out;
-  CollectPois(bucket_ids, &out);
+  CollectScratch scratch;
+  CollectPois(BucketRuns::FromIds(bucket_ids), &scratch, &out);
   return out;
 }
 
-void BroadcastSystem::CollectPois(const std::vector<int64_t>& bucket_ids,
-                                  std::vector<spatial::Poi>* out) const {
-  CollectScratch scratch;
-  CollectPois(bucket_ids, &scratch, out);
-}
-
-void BroadcastSystem::CollectPois(const std::vector<int64_t>& bucket_ids,
+void BroadcastSystem::CollectPois(const BucketRuns& buckets,
                                   CollectScratch* scratch,
                                   std::vector<spatial::Poi>* out) const {
   out->clear();
   // Buckets partition the database and each bucket's run in sorted_pois_ is
   // id-sorted, so the id-sorted deduplicated output is a k-way merge of the
-  // runs named by the (canonicalized) bucket list — no per-call sort. The
-  // merge state lives in the caller's scratch, so the call is allocation-
-  // free once that scratch has grown to its steady-state size.
+  // runs the bucket set names — no per-call sort. The merge state lives in
+  // the caller's scratch, so the call is allocation-free once that scratch
+  // has grown to its steady-state size.
   using Cursor = CollectScratch::Cursor;
   std::vector<Cursor>& runs = scratch->runs;
-  std::vector<int64_t>& canonical = scratch->canonical;
-  const int64_t* ids = bucket_ids.data();
-  size_t num_ids = bucket_ids.size();
-  if (!kernels::IsSortedUniqueI64(ids, num_ids)) {
-    canonical.assign(bucket_ids.begin(), bucket_ids.end());
-    std::sort(canonical.begin(), canonical.end());
-    canonical.erase(std::unique(canonical.begin(), canonical.end()),
-                    canonical.end());
-    ids = canonical.data();
-    num_ids = canonical.size();
+  if (!buckets.empty()) {
+    LBSQ_CHECK(buckets.front() >= 0 &&
+               buckets.back() < static_cast<int64_t>(buckets_.size()));
   }
   runs.clear();
   size_t total = 0;
-  for (size_t i = 0; i < num_ids; ++i) {
-    const int64_t id = ids[i];
-    LBSQ_CHECK(id >= 0 && id < static_cast<int64_t>(buckets_.size()));
+  buckets.ForEachId([&](int64_t id) {
     const spatial::Poi* lo = sorted_pois_.data() + sorted_start_[id];
     const spatial::Poi* hi = sorted_pois_.data() + sorted_start_[id + 1];
     if (lo != hi) {
       runs.push_back(Cursor{lo, hi});
       total += static_cast<size_t>(hi - lo);
     }
-  }
+  });
   out->reserve(total);
   if (runs.size() == 1) {
     out->assign(runs.front().cur, runs.front().end);

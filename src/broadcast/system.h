@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "broadcast/air_index.h"
+#include "broadcast/bucket_runs.h"
 #include "broadcast/incremental.h"
 #include "broadcast/packet.h"
 #include "broadcast/schedule.h"
@@ -56,18 +57,17 @@ struct BroadcastParams {
 };
 
 /// Reusable merge state for `BroadcastSystem::CollectPois`: the k-way-merge
-/// cursor heap and the canonicalized bucket-id list. Owned by the caller —
-/// per-thread scratch like every other query buffer (`QueryWorkspace` holds
-/// one) — so the merge is allocation-free once the scratch has grown to its
-/// steady-state size and the capacity is visible to the alloc counter
-/// instead of hiding in function-local TLS.
+/// cursor heap. Owned by the caller — per-thread scratch like every other
+/// query buffer (`QueryWorkspace` holds one) — so the merge is
+/// allocation-free once the scratch has grown to its steady-state size and
+/// the capacity is visible to the alloc counter instead of hiding in
+/// function-local TLS.
 struct CollectScratch {
   struct Cursor {
     const spatial::Poi* cur = nullptr;
     const spatial::Poi* end = nullptr;
   };
   std::vector<Cursor> runs;
-  std::vector<int64_t> canonical;
 };
 
 /// Immutable server state for one broadcast channel.
@@ -133,20 +133,15 @@ class BroadcastSystem {
       const std::vector<hilbert::IndexRange>& lookups) const;
 
   /// POIs contained in the given buckets (what a client that downloaded
-  /// them holds), deduplicated by id.
+  /// them holds), deduplicated by id. Ids in any order, duplicates allowed.
   std::vector<spatial::Poi> CollectPois(
       const std::vector<int64_t>& bucket_ids) const;
 
-  /// Allocation-free variant: clears and fills `*out` (same content as the
-  /// returning overload; capacity is reused) using `*scratch` for the merge
-  /// state. Steady-state query execution passes its workspace's scratch.
-  void CollectPois(const std::vector<int64_t>& bucket_ids,
-                   CollectScratch* scratch,
-                   std::vector<spatial::Poi>* out) const;
-
-  /// Convenience overload with transient merge scratch (allocates; the
-  /// modeled-client and test paths that do not carry a workspace).
-  void CollectPois(const std::vector<int64_t>& bucket_ids,
+  /// Allocation-free variant over a run set: clears and fills `*out` (same
+  /// content as the returning overload; capacity is reused) using
+  /// `*scratch` for the merge state. Steady-state query execution passes
+  /// its workspace's scratch.
+  void CollectPois(const BucketRuns& buckets, CollectScratch* scratch,
                    std::vector<spatial::Poi>* out) const;
 
  private:

@@ -46,21 +46,25 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
 /// The broadcast download both algorithms end with: records `ws.needed` as
 /// the query's buckets and retrieves them at `now` under `index_mode` —
 /// through `faults` when it enables the channel — filling `common`'s stats,
-/// fault accounting, `degraded` and `failed_buckets`. Returns the ids
+/// fault accounting, `degraded` and `failed_buckets`. Returns the buckets
 /// actually received: `ws.needed` itself on a clean channel.
-inline const std::vector<int64_t>& RetrieveNeeded(
+inline const broadcast::BucketRuns& RetrieveNeeded(
     const broadcast::BroadcastSystem& system, int64_t now,
     broadcast::IndexReadMode index_mode, obs::TraceRecorder* trace,
     fault::ChannelSession* faults, QueryWorkspace& ws,
     QueryResultCommon* common) {
-  common->buckets.assign(ws.needed.begin(), ws.needed.end());
+  common->buckets = ws.needed;
   if (faults == nullptr || !faults->channel_enabled()) {
     common->stats = broadcast::RetrieveBuckets(system.schedule(), now,
                                                ws.needed, index_mode, trace);
     return ws.needed;
   }
-  fault::FaultyRetrievalResult r =
-      faults->Retrieve(system.schedule(), now, ws.needed, index_mode, trace);
+  // The faulty channel draws one reception per bucket, so this is the one
+  // path that walks the download bucket by bucket.
+  ws.needed_ids.clear();
+  ws.needed.AppendIds(&ws.needed_ids);
+  fault::FaultyRetrievalResult r = faults->Retrieve(
+      system.schedule(), now, ws.needed_ids, index_mode, trace);
   common->stats = r.stats;
   common->fault_losses = r.losses;
   common->fault_corruptions = r.corruptions;
@@ -69,7 +73,8 @@ inline const std::vector<int64_t>& RetrieveNeeded(
     common->degraded = true;
     common->failed_buckets = std::move(r.failed);
   }
-  ws.retrieved = std::move(r.received);
+  ws.retrieved.clear();
+  for (const int64_t id : r.received) ws.retrieved.Append(id);
   return ws.retrieved;
 }
 

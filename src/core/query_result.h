@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "broadcast/bucket_runs.h"
 #include "broadcast/client_protocol.h"
 #include "core/verified_region.h"
 
@@ -20,8 +21,14 @@ namespace lbsq::core {
 struct QueryResultCommon {
   /// Broadcast cost (all zero for peer-resolved queries).
   broadcast::AccessStats stats;
-  /// Buckets downloaded on fallback.
-  std::vector<int64_t> buckets;
+  /// The buckets this query's channel was asked for on broadcast fallback
+  /// (the download set; empty for peer-resolved queries). Single-channel
+  /// only: a `ShardedQueryEngine` with more than one shard clears it on
+  /// every broadcast answer, because bucket ids are per shard and the list
+  /// could not say which channel they came from — there it stays empty
+  /// while `stats.buckets_read` counts the buckets read over all queried
+  /// shards.
+  broadcast::BucketRuns buckets;
   /// The verified knowledge this query produced, ready for insertion into
   /// the querier's own cache (empty when the query yielded no complete
   /// coverage — in particular whenever it degraded).

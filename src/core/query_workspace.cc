@@ -16,16 +16,40 @@ geom::Rect Padded(const geom::Rect& rect) {
                     rect.y2 + pad};
 }
 
-const std::vector<int64_t>& QueryWorkspace::BucketsMeeting(
-    const broadcast::BroadcastSystem& system, const std::vector<int64_t>& ids,
-    const geom::Rect& reach) {
+const broadcast::BucketRuns& QueryWorkspace::BucketsMeeting(
+    const broadcast::BroadcastSystem& system,
+    const broadcast::BucketRuns& download, const geom::Rect& reach) {
+  if (scan_processed_sets || download.count() <= kScanDownloadsUpTo) {
+    return BucketsMeetingByScan(system, download, reach);
+  }
+  return BucketsMeetingByCover(system, download, reach);
+}
+
+const broadcast::BucketRuns& QueryWorkspace::BucketsMeetingByCover(
+    const broadcast::BroadcastSystem& system,
+    const broadcast::BucketRuns& download, const geom::Rect& reach) {
+  const std::vector<broadcast::DataBucket>& buckets = system.buckets();
+  system.grid().CoverRect(reach, &cover);
+  system.index().BucketsForRanges(cover, &cover_buckets);
+  processed.clear();
+  broadcast::ForEachCommonId(download, cover_buckets, [&](int64_t id) {
+    if (buckets[static_cast<size_t>(id)].mbr.Intersects(reach)) {
+      processed.Append(id);
+    }
+  });
+  return processed;
+}
+
+const broadcast::BucketRuns& QueryWorkspace::BucketsMeetingByScan(
+    const broadcast::BroadcastSystem& system,
+    const broadcast::BucketRuns& download, const geom::Rect& reach) {
   const std::vector<broadcast::DataBucket>& buckets = system.buckets();
   processed.clear();
-  for (int64_t id : ids) {
+  download.ForEachId([&](int64_t id) {
     if (buckets[static_cast<size_t>(id)].mbr.Intersects(reach)) {
-      processed.push_back(id);
+      processed.Append(id);
     }
-  }
+  });
   return processed;
 }
 

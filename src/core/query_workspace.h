@@ -30,7 +30,9 @@
 /// download is the whole Hilbert span (or ranges) of the cover, but only
 /// the downloaded buckets whose MBR meets the query's rectangle can
 /// contribute to the answer, so each query collects just those
-/// (`BucketsMeeting`, then `BroadcastSystem::CollectPois`).
+/// (`BucketsMeeting`, then `BroadcastSystem::CollectPois`). Both sets are
+/// carried as bucket-id runs (`broadcast::BucketRuns`), so neither costs
+/// work per downloaded bucket.
 ///
 /// A workspace is NOT thread-safe: give each worker thread its own. It holds
 /// no state tied to a broadcast system, so one workspace may serve any
@@ -55,11 +57,39 @@ class QueryWorkspace {
   QueryWorkspace(QueryWorkspace&&) = default;
   QueryWorkspace& operator=(QueryWorkspace&&) = default;
 
-  /// The ids of `ids` whose bucket MBR meets `reach`, in order, written to
-  /// `processed`: the part of a download the answer can touch.
-  const std::vector<int64_t>& BucketsMeeting(
+  /// Downloads of at most this many buckets are processed by
+  /// BucketsMeetingByScan: one MBR test per bucket then costs less than
+  /// looking up the cover of the reach.
+  static constexpr int64_t kScanDownloadsUpTo = 256;
+
+  /// The part of `download` an answer confined to `reach` can touch,
+  /// written to `processed`: BucketsMeetingByScan up to kScanDownloadsUpTo
+  /// buckets, BucketsMeetingByCover beyond. Either set holds every
+  /// downloaded bucket with a POI inside `reach`, so both yield the same
+  /// POIs inside it.
+  const broadcast::BucketRuns& BucketsMeeting(
       const broadcast::BroadcastSystem& system,
-      const std::vector<int64_t>& ids, const geom::Rect& reach);
+      const broadcast::BucketRuns& download, const geom::Rect& reach);
+
+  /// The buckets of `download` whose curve range meets the Hilbert cover of
+  /// `reach` and whose MBR meets `reach`: O(cover ranges * log B +
+  /// candidates), not O(download). Every bucket holding a POI inside
+  /// `reach` is among them: the POI's cell lies in the cover (CellOf is
+  /// monotone and clamps as the cover's corner cells do) and inside the
+  /// bucket's curve range. The result can miss a bucket whose MBR meets
+  /// `reach` while none of its POIs lies inside; BucketsMeetingByScan keeps
+  /// those. Overwrites `cover` and `cover_buckets`.
+  const broadcast::BucketRuns& BucketsMeetingByCover(
+      const broadcast::BroadcastSystem& system,
+      const broadcast::BucketRuns& download, const geom::Rect& reach);
+
+  /// The buckets of `download` whose MBR meets `reach`, testing every one:
+  /// O(download). The processed set's definition before it was derived
+  /// from the cover; SBNN still decides its refill on it in the cold
+  /// branches (see RunSbnn).
+  const broadcast::BucketRuns& BucketsMeetingByScan(
+      const broadcast::BroadcastSystem& system,
+      const broadcast::BucketRuns& download, const geom::Rect& reach);
 
   /// Outcome storage for ExecuteBatch: grows to the largest batch seen and
   /// never shrinks, so repeated batches reuse every inner buffer.
@@ -74,16 +104,21 @@ class QueryWorkspace {
   /// The Hilbert cover of the rectangle being solved.
   std::vector<hilbert::IndexRange> cover;
   /// The air-index bucket lookup of one cover (SBWQ unions several).
-  std::vector<int64_t> cover_buckets;
-  /// Bucket ids the fallback retrieval needs.
-  std::vector<int64_t> needed;
-  /// Buckets surviving the §3.3.3 lower-bound filter.
-  std::vector<int64_t> kept;
+  broadcast::BucketRuns cover_buckets;
+  /// Buckets the fallback retrieval needs.
+  broadcast::BucketRuns needed;
+  /// `needed` expanded to ids for the faulty-channel path, which draws one
+  /// reception per bucket.
+  std::vector<int64_t> needed_ids;
   /// Buckets actually received on the faulty-channel path.
-  std::vector<int64_t> retrieved;
+  broadcast::BucketRuns retrieved;
   /// The received buckets a query processes: those whose MBR meets its
   /// rectangle (see BucketsMeeting).
-  std::vector<int64_t> processed;
+  broadcast::BucketRuns processed;
+  /// When set, every processed set comes from BucketsMeetingByScan: the
+  /// rule BucketsMeetingByCover replaced, kept as its differential oracle.
+  /// Off outside tests.
+  bool scan_processed_sets = false;
   /// The covers' curve ranges one SBWQ tree-index read looks up.
   std::vector<hilbert::IndexRange> lookups;
   /// Peer snapshot surviving the defensive screen.
@@ -96,8 +131,8 @@ class QueryWorkspace {
   /// SoA slab + distance/index buffers for the SIMD hot-loop kernels
   /// (BruteForceKnn, NNV candidate distances, window selections).
   kernels::SlabScratch slab;
-  /// Merge state for `BroadcastSystem::CollectPois` (cursor heap +
-  /// canonicalized bucket list) — per-workspace like every other scratch so
+  /// Merge state for `BroadcastSystem::CollectPois` (the cursor heap) —
+  /// per-workspace like every other scratch so
   /// its capacity is visible to the alloc counter instead of hiding in TLS.
   broadcast::CollectScratch collect_scratch;
 

@@ -79,6 +79,53 @@ bool MergeCandidates(const std::vector<spatial::PoiDistance>& candidates,
                             }) == known->end();
 }
 
+// Answers from the POIs of `buckets` merged with the peer candidates (into
+// ws.known_pois and outcome->neighbors). Returns the certificate: ids
+// distinct and k neighbours within `radius`.
+bool AnswerFrom(const broadcast::BroadcastSystem& system, geom::Point q,
+                int k, double radius, const broadcast::BucketRuns& buckets,
+                QueryWorkspace& ws, SbnnOutcome* outcome) {
+  system.CollectPois(buckets, &ws.collect_scratch, &ws.known_pois);
+  const bool ids_distinct =
+      MergeCandidates(outcome->nnv.candidates, &ws.known_pois);
+  spatial::BruteForceKnn(ws.known_pois, q, k, &ws.slab, &outcome->neighbors);
+  return ids_distinct &&
+         outcome->neighbors.size() == static_cast<size_t>(k) &&
+         outcome->neighbors.back().distance <= radius;
+}
+
+// The §3.3.3 filter: removes from the one-run download ws.needed the buckets
+// whose MBR lies inside `known` and returns how many. Such a bucket holds a
+// POI (an empty MBR never lies inside), every POI of it lies inside the
+// padded MBR of `known`, and so its curve range meets that rectangle's
+// cover: beyond QueryWorkspace::kScanDownloadsUpTo buckets only the cover's
+// buckets are tested. The span run is split at the skipped ids.
+int64_t SkipPeerKnownBuckets(const broadcast::BroadcastSystem& system,
+                             const geom::Circle& known, QueryWorkspace& ws) {
+  const std::vector<broadcast::DataBucket>& buckets = system.buckets();
+  const broadcast::BucketRun span = ws.needed.runs().front();
+  if (span.size() <= QueryWorkspace::kScanDownloadsUpTo) {
+    ws.cover_buckets = ws.needed;
+  } else {
+    system.grid().CoverRect(Padded(known.Mbr()), &ws.cover);
+    system.index().BucketsForRanges(ws.cover, &ws.cover_buckets);
+  }
+  ws.needed.clear();
+  int64_t skipped = 0;
+  int64_t next = span.lo;  // first id not yet placed in ws.needed
+  for (const broadcast::BucketRun& run : ws.cover_buckets.runs()) {
+    const int64_t hi = std::min(run.hi, span.hi);
+    for (int64_t id = std::max(run.lo, span.lo); id <= hi; ++id) {
+      if (!known.ContainsRect(buckets[static_cast<size_t>(id)].mbr)) continue;
+      ++skipped;
+      if (next < id) ws.needed.Append(next, id - 1);
+      next = id + 1;
+    }
+  }
+  if (next <= span.hi) ws.needed.Append(next, span.hi);
+  return skipped;
+}
+
 }  // namespace
 
 void RunSbnn(geom::Point q, const SbnnOptions& options,
@@ -142,7 +189,7 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   radius *= options.prefetch_radius_factor;
 
   // Same bucket set onair::BucketsForCircle computes, built in workspace
-  // scratch.
+  // scratch: one run.
   const geom::Rect search_mbr = geom::Circle{q, radius}.Mbr();
   system.grid().CoverRect(search_mbr, &ws.cover);
   if (ws.cover.empty()) {
@@ -151,33 +198,23 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
     system.index().BucketsForSpan(ws.cover.front().lo, ws.cover.back().hi,
                                   &ws.needed);
   }
-
-  // Search lower bound: packets fully covered by the circle C_i of radius
-  // d_v (the last verified entry) hold only objects the peers already
-  // supplied (states 1, 3, 4).
-  const auto lower = heap.LowerBound();
-  if (options.use_filtering && lower.has_value()) {
-    const geom::Circle known{q, *lower};
-    ws.kept.clear();
-    for (int64_t id : ws.needed) {
-      const broadcast::DataBucket& bucket =
-          system.buckets()[static_cast<size_t>(id)];
-      if (known.ContainsRect(bucket.mbr)) {
-        ++outcome.buckets_skipped;
-      } else {
-        ws.kept.push_back(id);
-      }
-    }
-    ws.needed.swap(ws.kept);
-  }
-
   broadcast::IndexReadMode index_mode =
       broadcast::IndexReadMode::FlatDirectory();
   if (system.tree_index() != nullptr) {
     index_mode = broadcast::IndexReadMode::TreePaths(
         system.IndexReadBuckets(ws.cover));
   }
-  const std::vector<int64_t>& retrieved =
+
+  // Search lower bound: packets fully covered by the circle C_i of radius
+  // d_v (the last verified entry) hold only objects the peers already
+  // supplied (states 1, 3, 4).
+  const auto lower = heap.LowerBound();
+  if (options.use_filtering && lower.has_value() && !ws.needed.empty()) {
+    outcome.buckets_skipped =
+        SkipPeerKnownBuckets(system, geom::Circle{q, *lower}, ws);
+  }
+
+  const broadcast::BucketRuns& retrieved =
       RetrieveNeeded(system, now, index_mode, trace, faults, ws, &outcome);
   if (trace != nullptr) {
     trace->Span("sbnn.fallback", now, now + outcome.stats.access_latency);
@@ -189,30 +226,36 @@ void RunSbnn(geom::Point q, const SbnnOptions& options,
   // the peers supplied (which covers any packets the filter skipped). Only
   // the received buckets whose MBR meets the search square can hold a POI
   // within `radius` of q, so those are collected first.
-  const std::vector<int64_t>& processed =
-      ws.BucketsMeeting(system, retrieved, Padded(search_mbr));
-  const bool processed_all = processed.size() == retrieved.size();
-  system.CollectPois(processed, &ws.collect_scratch, &ws.known_pois);
-  const bool ids_distinct =
-      MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
-  spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
-                         &outcome.neighbors);
+  const geom::Rect reach = Padded(search_mbr);
+  bool certified =
+      AnswerFrom(system, q, options.k, radius,
+                 ws.BucketsMeeting(system, retrieved, reach), ws, &outcome);
   // Certificate: k neighbours within `radius` means every POI of the whole
   // download that could displace one (distance <= the k-th) was in the
   // processed set, so the answer equals the full scan's. Otherwise — too few
   // POIs near q (lost buckets, an index bound unsound for the data) or
   // conflicting copies of one id — scan everything that was received,
   // unless that was done.
-  const bool certified =
-      ids_distinct &&
-      outcome.neighbors.size() == static_cast<size_t>(options.k) &&
-      outcome.neighbors.back().distance <= radius;
-  if (!certified && !processed_all) {
-    system.CollectPois(retrieved, &ws.collect_scratch, &ws.known_pois);
-    (void)MergeCandidates(outcome.nnv.candidates, &ws.known_pois);
-    spatial::BruteForceKnn(ws.known_pois, q, options.k, &ws.slab,
-                           &outcome.neighbors);
-    if (trace != nullptr) trace->Counter("sbnn.collect_refills", 1.0);
+  //
+  // Both cold branches — a failed certificate, and merged peer candidates
+  // (whose id-conflict check sees every processed POI) — decide as when the
+  // processed set was the MBR scan of the whole download. That set can hold
+  // more buckets than the cover-derived one (an MBR meeting the reach while
+  // none of its POIs lies inside), so the answer is recomputed from it when
+  // it does. Certified peerless answers cannot tell the two sets apart:
+  // the extra POIs all lie beyond `radius`.
+  if (!certified || !outcome.nnv.candidates.empty()) {
+    const int64_t from_cover = ws.processed.count();
+    const broadcast::BucketRuns& scanned =
+        ws.BucketsMeetingByScan(system, retrieved, reach);
+    if (scanned.count() != from_cover) {
+      certified = AnswerFrom(system, q, options.k, radius, scanned, ws,
+                             &outcome);
+    }
+    if (!certified && scanned.count() != retrieved.count()) {
+      (void)AnswerFrom(system, q, options.k, radius, retrieved, ws, &outcome);
+      if (trace != nullptr) trace->Counter("sbnn.collect_refills", 1.0);
+    }
   }
 
   // Every cell intersecting the search MBR is covered by a bucket that was

@@ -93,19 +93,15 @@ void RunSbwq(const geom::Rect& window, const SbwqOptions& options,
       } else {
         system.index().BucketsForRanges(ws.cover, &ws.cover_buckets);
       }
-      ws.needed.insert(ws.needed.end(), ws.cover_buckets.begin(),
-                       ws.cover_buckets.end());
+      ws.needed.UnionWith(ws.cover_buckets);
     }
-    std::sort(ws.needed.begin(), ws.needed.end());
-    ws.needed.erase(std::unique(ws.needed.begin(), ws.needed.end()),
-                    ws.needed.end());
     broadcast::IndexReadMode index_mode =
         broadcast::IndexReadMode::FlatDirectory();
     if (tree_index) {
       index_mode = broadcast::IndexReadMode::TreePaths(
           system.IndexReadBuckets(ws.lookups));
     }
-    const std::vector<int64_t>& retrieved =
+    const broadcast::BucketRuns& retrieved =
         RetrieveNeeded(system, now, index_mode, trace, faults, ws, &outcome);
     if (trace != nullptr) {
       trace->Span("sbwq.fallback", now, now + outcome.stats.access_latency);

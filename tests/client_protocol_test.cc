@@ -9,7 +9,7 @@ namespace {
 
 TEST(ClientProtocolTest, EmptyRequestStillPaysProbeAndIndex) {
   BroadcastSchedule s(50, 4, 2);
-  const AccessStats stats = RetrieveBuckets(s, 0, {});
+  const AccessStats stats = RetrieveBuckets(s, 0, BucketRuns{});
   EXPECT_EQ(stats.buckets_read, 0);
   EXPECT_EQ(stats.tuning_time, 1 + 4);
   // Latency: probe (1) + wait to index + read index. At t=0 the next index

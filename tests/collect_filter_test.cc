@@ -113,8 +113,9 @@ std::vector<core::PeerData> HonestPeers(const Dataset& d, geom::Point q,
 std::vector<int64_t> Received(const core::QueryResultCommon& c) {
   std::vector<int64_t> failed = c.failed_buckets;
   std::sort(failed.begin(), failed.end());
+  const std::vector<int64_t> downloaded = c.buckets.ToIds();
   std::vector<int64_t> out;
-  std::set_difference(c.buckets.begin(), c.buckets.end(), failed.begin(),
+  std::set_difference(downloaded.begin(), downloaded.end(), failed.begin(),
                       failed.end(), std::back_inserter(out));
   return out;
 }

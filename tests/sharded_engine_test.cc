@@ -278,6 +278,36 @@ TEST(ShardedEngineTest, AnswerPlaneInvariantAcrossShardCounts) {
   }
 }
 
+TEST(ShardedEngineTest, BucketListIsSingleChannelOnly) {
+  // Bucket ids are per shard, so a multi-shard broadcast answer reports no
+  // bucket list while `stats.buckets_read` still counts every shard's
+  // download; one shard reports its download in full.
+  std::vector<spatial::Poi> pois = TestPois(800, /*seed=*/3);
+  for (const int num_shards : {1, 4}) {
+    SCOPED_TRACE(num_shards);
+    const ShardedQueryEngine sharded(pois, kWorld, TestParams(),
+                                     EngineOptions{}, num_shards);
+    ShardedQueryWorkspace ws;
+    QueryOutcome outcome;
+    const RequestSet set = MakeRequests(pois, 120, /*seed=*/23);
+    int broadcast_answers = 0;
+    for (size_t i = 0; i < set.requests.size(); ++i) {
+      SCOPED_TRACE(i);
+      sharded.Execute(set.requests[i], ws, &outcome);
+      if (outcome.ResolvedByPeers()) continue;
+      const QueryResultCommon& common = outcome.Common();
+      ASSERT_GT(common.stats.buckets_read, 0);
+      if (num_shards == 1) {
+        EXPECT_EQ(common.buckets.count(), common.stats.buckets_read);
+      } else {
+        EXPECT_TRUE(common.buckets.empty());
+      }
+      ++broadcast_answers;
+    }
+    EXPECT_GT(broadcast_answers, 40);
+  }
+}
+
 TEST(ShardedEngineTest, SeamWindowsHaveNoDuplicatePois) {
   std::vector<spatial::Poi> pois = TestPois(800, /*seed=*/9);
   const ShardedQueryEngine sharded(pois, kWorld, TestParams(),
